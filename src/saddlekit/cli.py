@@ -1,7 +1,8 @@
 """Command-line interface wiring generators, solvers, spectral checks, and
 report writers.
 
-Exit codes: 0 success/converged, 1 usage or configuration error,
+Exit codes: 0 success/converged, 1 usage or configuration error (including
+an input that is not SPD, a singular preconditioner or a failed eigensolve),
 2 non-convergence.
 """
 
@@ -13,6 +14,7 @@ import sys as _sys
 import numpy as np
 
 from . import mmio, params, precond, problems, spectral
+from .dense import ConvergenceFailure, NotPositiveDefinite, Singular
 from .gmres import gmres
 from .system import rhs_for_ones
 
@@ -214,7 +216,8 @@ def cmd_compare(args):
             record = mmio.ReportRecord(process=k, problem=pid, size=sys_.size,
                                        it=-1, res=float("nan"),
                                        wall_seconds=0.0,
-                                       params={"error": str(exc)},
+                                       params={"error": str(exc),
+                                               "error_type": type(exc).__name__},
                                        converged=False)
         records.append(record)
         print(f"{record.process:8s} it={record.it:5d} "
@@ -357,10 +360,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args)
-    except CliError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, FileNotFoundError) as exc:
+    except (CliError, ValueError, FileNotFoundError, NotPositiveDefinite,
+            Singular, ConvergenceFailure) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_USAGE
 

@@ -11,13 +11,8 @@ The named variants are parameter choices of this form; global scalar
 prefactors are folded into the shifts, which leaves right-preconditioned
 GMRES iterates unchanged.
 
-Application solves P w = r through the block factorization with the two
-inner SPD matrices
-
-    Xhat = L2 + s^2 C^T L3^{-1} C
-    Ablk = L1 + t*A + s^2 B^T Xhat^{-1} B
-
-both handled by dense Cholesky at desk scale (or Ablk by inner CG).
+P is sparse for every variant: ``build`` assembles it once and takes one
+sparse LU of P; each apply is two sparse triangular solves.
 """
 
 from __future__ import annotations
@@ -25,15 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
-from .dense import CholeskyFactor, NotPositiveDefinite, cholesky, cholesky_solve
+from .dense import (CholeskyFactor, NotPositiveDefinite, Singular, cholesky,
+                    cholesky_solve)
 from .sparse import SparseMatrix
 from .system import BlockVector, SaddlePointSystem, to_dense
 
 KINDS = ("pess", "lpess", "ss", "rss", "egss", "rpgss")
-
-ABLOCK_DENSE_LIMIT = 3000
-INNER_CG_TOL = 1e-12
 
 
 # -- SPD operand handling ---------------------------------------------
@@ -41,27 +36,55 @@ INNER_CG_TOL = 1e-12
 # identity), a 1-d array (diagonal), a SparseMatrix, or a dense 2-d array.
 
 
-def operand_dense(op, dim):
+def operand_sparse(op, dim):
+    """The shift operand as a dim x dim scipy CSC block (zero when absent)."""
     if op is None:
-        return np.zeros((dim, dim))
+        return sp.csc_matrix((dim, dim))
     if np.isscalar(op):
-        return float(op) * np.eye(dim)
+        return float(op) * sp.identity(dim, format="csc")
     if isinstance(op, SparseMatrix):
-        if op.nrows != dim or op.ncols != dim:
+        if op.shape != (dim, dim):
             raise ValueError("shift operand dimension mismatch")
-        return op.to_dense()
+        return op.to_scipy().tocsc()
     arr = np.asarray(op, dtype=np.float64)
     if arr.ndim == 1:
         if arr.shape[0] != dim:
             raise ValueError("diagonal shift operand dimension mismatch")
-        return np.diag(arr)
+        return sp.diags(arr, format="csc")
     if arr.shape != (dim, dim):
         raise ValueError("shift operand dimension mismatch")
-    return arr
+    return sp.csc_matrix(arr)
 
 
-def operand_is_zero(op):
-    return op is None
+def operand_dense(op, dim):
+    return operand_sparse(op, dim).toarray()
+
+
+def _is_diagonal(op):
+    return np.isscalar(op) or np.ndim(op) == 1
+
+
+def _require_spd(op, dim, what):
+    """Raise NotPositiveDefinite unless the shift operand is SPD.
+
+    Scalar and diagonal operands were checked positive by GssConfig.  A
+    matrix operand is factored as L D L^T by symmetric-mode SuperLU (same
+    row and column order, no off-diagonal pivoting); it is SPD iff that
+    order held and every pivot of D is positive.
+    """
+    if _is_diagonal(op):
+        return
+    M = operand_sparse(op, dim)
+    scale = max(abs(M).max(), 1e-300)
+    if abs(M - M.T).max() > 1e-12 * scale:
+        raise ValueError(f"{what} is not symmetric within 1e-12 relative")
+    try:
+        lu = splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options=dict(SymmetricMode=True))
+    except RuntimeError as exc:
+        raise NotPositiveDefinite(f"{what} is singular: {exc}") from exc
+    if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0)):
+        raise NotPositiveDefinite(f"{what} is not positive definite")
 
 
 @dataclass(frozen=True)
@@ -84,14 +107,18 @@ class GssConfig:
             raise ValueError("s must be positive")
         if self.t < 0:
             raise ValueError("t must be nonnegative")
-        if operand_is_zero(self.lambda1) and self.t == 0:
+        if self.lambda1 is None and self.t == 0:
             raise ValueError("a zero (1,1) shift requires t > 0")
-        if operand_is_zero(self.lambda2) or operand_is_zero(self.lambda3):
+        if self.lambda2 is None or self.lambda3 is None:
             raise ValueError("lambda2 and lambda3 must be SPD")
+        for name in ("lambda1", "lambda2", "lambda3"):
+            op = getattr(self, name)
+            if _is_diagonal(op) and np.any(np.asarray(op) <= 0):
+                raise ValueError(f"{name} must be positive")
 
     @property
     def is_pess(self):
-        return (not operand_is_zero(self.lambda1)) and self.t == self.s
+        return self.lambda1 is not None and self.t == self.s
 
 
 def make_config(kind, sys: SaddlePointSystem = None, **params) -> GssConfig:
@@ -152,141 +179,57 @@ def _scaled(coef, op):
 # -- build and apply ---------------------------------------------------
 
 
+def gss_matrix(sys: SaddlePointSystem, cfg: GssConfig) -> sp.csc_matrix:
+    """P assembled as one sparse CSC matrix."""
+    s = cfg.s
+    A, B, C = sys.A.to_scipy(), sys.B.to_scipy(), sys.C.to_scipy()
+    return sp.bmat([
+        [operand_sparse(cfg.lambda1, sys.n) + cfg.t * A, s * B.T, None],
+        [-s * B, operand_sparse(cfg.lambda2, sys.m), -s * C.T],
+        [None, s * C, operand_sparse(cfg.lambda3, sys.p)],
+    ], format="csc")
+
+
+def sigma_matrix(sys: SaddlePointSystem, cfg: GssConfig) -> sp.csc_matrix:
+    """Sigma = blockdiag(L1, L2, L3), with a zero block for an absent L1."""
+    return sp.block_diag([operand_sparse(cfg.lambda1, sys.n),
+                          operand_sparse(cfg.lambda2, sys.m),
+                          operand_sparse(cfg.lambda3, sys.p)], format="csc")
+
+
 @dataclass(frozen=True)
 class GssPreconditioner:
     config: GssConfig
     n: int
     m: int
     p: int
-    xhat_factor: CholeskyFactor
-    ablock_factor: CholeskyFactor  # None under the inner-cg strategy
-    lambda3_factor: CholeskyFactor
-    _B: np.ndarray
-    _C: np.ndarray
-    _lam1: np.ndarray
-    _A: object  # SparseMatrix, kept for the inner-cg operator
+    matrix: sp.csc_matrix
+    lu: object  # scipy.sparse.linalg.SuperLU of ``matrix``
 
     def apply(self, r):
         """Solve P w = r. Accepts a flat array (optionally multi-column)
         or a BlockVector."""
         as_block = isinstance(r, BlockVector)
         vec = r.to_array() if as_block else np.asarray(r, dtype=np.float64)
-        n, m, p = self.n, self.m, self.p
-        s = self.config.s
-        r1, r2, r3 = vec[:n], vec[n : n + m], vec[n + m :]
-        v1 = cholesky_solve(self.xhat_factor,
-                            r2 + s * (self._C.T @ cholesky_solve(self.lambda3_factor, r3)))
-        v = r1 - s * (self._B.T @ v1)
-        w1 = self._solve_ablock(v)
-        v2 = cholesky_solve(self.xhat_factor, s * (self._B @ w1))
-        w2 = v1 + v2
-        w3 = cholesky_solve(self.lambda3_factor, r3 - s * (self._C @ w2))
-        out = np.concatenate([w1, w2, w3])
-        return BlockVector.from_array(out, n, m, p) if as_block else out
+        out = self.lu.solve(vec)
+        return BlockVector.from_array(out, self.n, self.m, self.p) if as_block else out
 
     __call__ = apply
 
-    def _solve_ablock(self, v):
-        if self.ablock_factor is not None:
-            return cholesky_solve(self.ablock_factor, v)
-        return _cg(self._ablock_matvec, v, tol=INNER_CG_TOL)
-
-    def _ablock_matvec(self, x):
-        cfg = self.config
-        y = cfg.t * self._apply_A(x) + cfg.s**2 * (
-            self._B.T @ cholesky_solve(self.xhat_factor, self._B @ x)
-        )
-        if not operand_is_zero(cfg.lambda1):
-            y = y + self._lam1 @ x
-        return y
-
-    def _apply_A(self, x):
-        return self._A.matvec(x) if x.ndim == 1 else self._A.to_scipy() @ x
-
     def dense_matrix(self):
         """The explicit preconditioner matrix (oracle for tests)."""
-        n, m, p = self.n, self.m, self.p
-        cfg = self.config
-        P = np.zeros((n + m + p, n + m + p))
-        P[:n, :n] = self._lam1 + cfg.t * self._A.to_dense()
-        P[:n, n : n + m] = cfg.s * self._B.T
-        P[n : n + m, :n] = -cfg.s * self._B
-        P[n : n + m, n : n + m] = operand_dense(cfg.lambda2, m)
-        P[n : n + m, n + m :] = -cfg.s * self._C.T
-        P[n + m :, n : n + m] = cfg.s * self._C
-        P[n + m :, n + m :] = operand_dense(cfg.lambda3, p)
-        return P
+        return self.matrix.toarray()
 
 
-def _cg(matvec, b, tol):
-    """Plain CG on an SPD operator; supports 1-d or column-stacked rhs."""
-    if b.ndim > 1:
-        return np.stack([_cg(matvec, b[:, j], tol) for j in range(b.shape[1])], axis=1)
-    x = np.zeros_like(b)
-    r = b.copy()
-    pdir = r.copy()
-    rr = float(r @ r)
-    nb = np.linalg.norm(b)
-    if nb == 0.0:
-        return x
-    for _ in range(10 * b.shape[0]):
-        Ap = matvec(pdir)
-        alpha = rr / float(pdir @ Ap)
-        x += alpha * pdir
-        r -= alpha * Ap
-        rr_new = float(r @ r)
-        if np.sqrt(rr_new) <= tol * nb:
-            break
-        pdir = r + (rr_new / rr) * pdir
-        rr = rr_new
-    return x
-
-
-def build(sys: SaddlePointSystem, cfg: GssConfig, strategy="dense") -> GssPreconditioner:
-    """Factor the inner SPD subsystems of the shift-splitting preconditioner."""
-    if strategy not in ("dense", "inner-cg"):
-        raise ValueError("strategy must be 'dense' or 'inner-cg'")
-    n, m, p = sys.n, sys.m, sys.p
-    s = cfg.s
-    Bd = sys.B.to_dense()
-    Cd = sys.C.to_dense()
-    lam3 = operand_dense(cfg.lambda3, p)
+def build(sys: SaddlePointSystem, cfg: GssConfig) -> GssPreconditioner:
+    """Assemble the shift-splitting preconditioner and factor it once."""
+    _require_spd(cfg.lambda3, sys.p, "lambda3")
+    P = gss_matrix(sys, cfg)
     try:
-        lam3_factor = cholesky(lam3)
-    except NotPositiveDefinite as exc:
-        raise NotPositiveDefinite(f"lambda3 block failed Cholesky: {exc}") from exc
-
-    xhat = operand_dense(cfg.lambda2, m) + s**2 * (
-        Cd.T @ cholesky_solve(lam3_factor, Cd)
-    )
-    xhat = 0.5 * (xhat + xhat.T)
-    try:
-        xhat_factor = cholesky(xhat)
-    except NotPositiveDefinite as exc:
-        raise NotPositiveDefinite(f"Xhat block failed Cholesky: {exc}") from exc
-
-    lam1 = operand_dense(cfg.lambda1, n)
-    ablock_factor = None
-    if strategy == "dense":
-        if n > ABLOCK_DENSE_LIMIT:
-            raise ValueError(
-                f"dense strategy limited to n <= {ABLOCK_DENSE_LIMIT}; use inner-cg"
-            )
-        ablock = lam1 + cfg.t * sys.A.to_dense() + s**2 * (
-            Bd.T @ cholesky_solve(xhat_factor, Bd)
-        )
-        ablock = 0.5 * (ablock + ablock.T)
-        try:
-            ablock_factor = cholesky(ablock)
-        except NotPositiveDefinite as exc:
-            raise NotPositiveDefinite(f"A-block failed Cholesky: {exc}") from exc
-
-    return GssPreconditioner(
-        config=cfg, n=n, m=m, p=p,
-        xhat_factor=xhat_factor, ablock_factor=ablock_factor,
-        lambda3_factor=lam3_factor,
-        _B=Bd, _C=Cd, _lam1=lam1, _A=sys.A,
-    )
+        lu = splu(P)
+    except RuntimeError as exc:
+        raise Singular(f"preconditioner is singular: {exc}") from exc
+    return GssPreconditioner(config=cfg, n=sys.n, m=sys.m, p=sys.p, matrix=P, lu=lu)
 
 
 # -- exact block diagonal baseline -------------------------------------
@@ -330,25 +273,12 @@ def build_bd(sys: SaddlePointSystem) -> BdPreconditioner:
     return BdPreconditioner(sys.n, sys.m, sys.p, a_factor, s_factor, css_factor)
 
 
-def apply_bd(P: BdPreconditioner, r):
-    return P.apply(r)
-
-
 # -- splitting identity -------------------------------------------------
 
 
 def gss_dense_matrix(sys: SaddlePointSystem, cfg: GssConfig):
     """Densified P for a config without building factorizations."""
-    n, m, p = sys.n, sys.m, sys.p
-    P = np.zeros((sys.size, sys.size))
-    P[:n, :n] = operand_dense(cfg.lambda1, n) + cfg.t * sys.A.to_dense()
-    P[:n, n : n + m] = cfg.s * sys.B.to_dense().T
-    P[n : n + m, :n] = -cfg.s * sys.B.to_dense()
-    P[n : n + m, n : n + m] = operand_dense(cfg.lambda2, m)
-    P[n : n + m, n + m :] = -cfg.s * sys.C.to_dense().T
-    P[n + m :, n : n + m] = cfg.s * sys.C.to_dense()
-    P[n + m :, n + m :] = operand_dense(cfg.lambda3, p)
-    return P
+    return gss_matrix(sys, cfg).toarray()
 
 
 def splitting_residual(sys: SaddlePointSystem, cfg: GssConfig) -> float:
@@ -361,12 +291,7 @@ def splitting_residual(sys: SaddlePointSystem, cfg: GssConfig) -> float:
     Amat = to_dense(sys)
     P = gss_dense_matrix(sys, cfg)
     if cfg.t == cfg.s:
-        n, m = sys.n, sys.m
-        sigma = np.zeros_like(P)
-        sigma[:n, :n] = operand_dense(cfg.lambda1, sys.n)
-        sigma[n : n + m, n : n + m] = operand_dense(cfg.lambda2, sys.m)
-        sigma[n + m :, n + m :] = operand_dense(cfg.lambda3, sys.p)
-        Q = sigma - (1.0 - cfg.s) * Amat
+        Q = sigma_matrix(sys, cfg).toarray() - (1.0 - cfg.s) * Amat
     else:
         Q = P - Amat
     return float(np.linalg.norm((P - Q) - Amat, "fro"))

@@ -28,7 +28,7 @@ import numpy as np
 
 from .dense import (ComplexSpectrum, NotPositiveDefinite, Singular, cholesky,
                     cholesky_solve, cond2, eig_general, gen_eig_spd)
-from .precond import GssConfig, operand_dense, operand_is_zero
+from .precond import GssConfig, operand_dense
 from .system import DENSIFY_LIMIT, SaddlePointSystem, to_dense
 
 THETA_TILDE_CONVENTION = "lambda3_inv_C_lambda2_inv_Ct"
@@ -87,7 +87,7 @@ def scalar_extremes(sys: SaddlePointSystem, cfg: GssConfig) -> ScalarExtremes:
     lam3 = operand_dense(cfg.lambda3, sys.p)
 
     xi_max = xi_min = eta_max = eta_min = None
-    if not operand_is_zero(cfg.lambda1):
+    if cfg.lambda1 is not None:
         lam1 = operand_dense(cfg.lambda1, sys.n)
         xi = gen_eig_spd(Ad, lam1)
         xi_min, xi_max = float(xi[0]), float(xi[-1])

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .dense import ConvergenceFailure, cholesky, eig_general, eig_symmetric
-from .precond import GssConfig, build, operand_dense
+from .precond import GssConfig, build, sigma_matrix
 from .system import SaddlePointSystem, operator_apply, to_dense
 
 DIVERGENCE_THRESHOLD = 1e12
@@ -80,23 +80,17 @@ def pess_iterate(sys: SaddlePointSystem, cfg: GssConfig, d, u0=None,
                             time.perf_counter() - t0, x)
 
 
+def _scaled_operator(sys, cfg):
+    """L^{-1} A L^{-T} for the Cholesky factor L of Sigma: an
+    orthogonal-factor similarity away from Sigma^{-1/2} A Sigma^{-1/2}."""
+    L = cholesky(sigma_matrix(sys, cfg).toarray()).lower
+    M = solve_triangular(L, to_dense(sys), lower=True)
+    return solve_triangular(L, M.T, lower=True).T
+
+
 def scaled_spectrum(sys: SaddlePointSystem, cfg: GssConfig) -> np.ndarray:
-    """eig(Sigma^{-1/2} A Sigma^{-1/2}) via the Cholesky factor of Sigma
-    (an orthogonal-factor similarity away from the symmetric scaling)."""
-    L = cholesky(_sigma_dense(sys, cfg)).lower
-    Amat = to_dense(sys)
-    M = solve_triangular(L, Amat, lower=True)
-    M = solve_triangular(L, M.T, lower=True).T
-    return eig_general(M).eigenvalues
-
-
-def _sigma_dense(sys, cfg):
-    n, m = sys.n, sys.m
-    sigma = np.zeros((sys.size, sys.size))
-    sigma[:n, :n] = operand_dense(cfg.lambda1, n)
-    sigma[n : n + m, n : n + m] = operand_dense(cfg.lambda2, m)
-    sigma[n + m :, n + m :] = operand_dense(cfg.lambda3, sys.p)
-    return sigma
+    """eig(Sigma^{-1/2} A Sigma^{-1/2})."""
+    return eig_general(_scaled_operator(sys, cfg)).eigenvalues
 
 
 @dataclass(frozen=True)
@@ -126,10 +120,7 @@ def convergence_predicate(sys: SaddlePointSystem, cfg: GssConfig,
 def sufficient_s_lower_bound(sys: SaddlePointSystem, cfg: GssConfig) -> float:
     """max{ (1/2)(1 - lmin(Shat + Shat^T) / rho(Shat)^2), 0 } with
     Shat = Sigma^{-1/2} A Sigma^{-1/2}; any s above this converges."""
-    L = cholesky(_sigma_dense(sys, cfg)).lower
-    Amat = to_dense(sys)
-    M = solve_triangular(L, Amat, lower=True)
-    M = solve_triangular(L, M.T, lower=True).T
+    M = _scaled_operator(sys, cfg)
     sym = M + M.T
     lmin = float(eig_symmetric(0.5 * (sym + sym.T))[0])
     rho = float(np.max(np.abs(eig_general(M).eigenvalues)))

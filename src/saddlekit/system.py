@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import NotPositiveDefinite, cholesky, eig_symmetric
+from .dense import NotPositiveDefinite, cholesky
 from .sparse import SparseMatrix
 
 DENSIFY_LIMIT = 5000
@@ -146,9 +146,8 @@ def validate(sys: SaddlePointSystem, level="shape") -> ValidationReport:
         msgs.append(f"A failed Cholesky: {exc}")
 
     def full_row_rank(M):
-        G = M.to_dense()
-        w = eig_symmetric(G @ G.T)
-        return bool(w[-1] > 0 and np.sqrt(max(w[0], 0.0)) > 1e-10 * np.sqrt(w[-1]))
+        # numerical rank from singular values, tolerance max(shape)*eps*sigma_max
+        return bool(np.linalg.matrix_rank(M.to_dense()) == M.nrows)
 
     b_ok = full_row_rank(sys.B)
     if not b_ok:

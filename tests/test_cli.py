@@ -4,9 +4,12 @@ tiny generated problem."""
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from saddlekit.cli import EXIT_NOCONV, EXIT_OK, EXIT_USAGE, main
+from saddlekit.mmio import write_matrix_market
+from saddlekit.sparse import SparseMatrix
 
 GEN = ["--gen-l", "3"]
 
@@ -140,3 +143,17 @@ def test_usage_errors(tmp_path):
     assert main(["solve", "--load", "a", "b", "c"]) == EXIT_USAGE
     assert main([]) == EXIT_USAGE
     assert main(["--help"]) == 0
+
+
+def test_indefinite_load_is_a_usage_error(tmp_path, capsys):
+    blocks = {"A": -np.eye(4), "B": np.eye(2, 4), "C": np.ones((1, 2))}
+    paths = []
+    for name, M in blocks.items():
+        path = tmp_path / f"{name}.mtx"
+        write_matrix_market(SparseMatrix.from_dense(M), path)
+        paths.append(str(path))
+    rc = main(["solve", "--load", *paths, "--precond", "bd"])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -5,10 +5,13 @@ identity P - Q = coefficient matrix."""
 import numpy as np
 import pytest
 
-from saddlekit.dense import NotPositiveDefinite, lu_solve
-from saddlekit.precond import (KINDS, GssConfig, apply_bd, build, build_bd,
+from saddlekit.dense import NotPositiveDefinite, Singular, lu_solve
+from saddlekit.gmres import gmres, true_residual
+from saddlekit.precond import (KINDS, GssConfig, build, build_bd,
                                gss_dense_matrix, make_config,
                                splitting_residual)
+from saddlekit.problems import case_preset, example1
+from saddlekit.sparse import SparseMatrix
 from saddlekit.system import BlockVector, rhs_for_ones
 
 from conftest import random_system
@@ -41,6 +44,12 @@ def test_config_validation():
         GssConfig(1.0, None, 1.0, s=1.0, t=1.0)
     with pytest.raises(ValueError):
         GssConfig(1.0, 1.0, None, s=1.0, t=1.0)
+    with pytest.raises(ValueError):
+        GssConfig(-1.0, 1.0, 1e-3, s=2.0, t=2.0)
+    with pytest.raises(ValueError):
+        GssConfig(1.0, -0.5, 1e-3, s=2.0, t=2.0)
+    with pytest.raises(ValueError):
+        GssConfig(1.0, 0.0, 1e-3, s=2.0, t=2.0)
 
 
 def test_is_pess_property():
@@ -114,25 +123,29 @@ def test_callable_alias(small_system, rng):
     assert np.array_equal(P(r), P.apply(r))
 
 
-def test_inner_cg_matches_dense_strategy(small_system, rng):
-    cfg = all_kind_configs(small_system)["pess"]
-    Pd = build(small_system, cfg, strategy="dense")
-    Pc = build(small_system, cfg, strategy="inner-cg")
-    assert Pc.ablock_factor is None
-    r = rng.standard_normal(small_system.size)
-    assert np.allclose(Pc.apply(r), Pd.apply(r), atol=1e-8)
-
-
-def test_build_bad_strategy(small_system):
-    with pytest.raises(ValueError):
-        build(small_system, all_kind_configs(small_system)["pess"],
-              strategy="magic")
-
-
 def test_build_rejects_indefinite_lambda3(small_system):
     cfg = GssConfig(1.0, 1.0, np.diag(-np.ones(small_system.p)), s=1.0, t=1.0)
     with pytest.raises(NotPositiveDefinite, match="lambda3"):
         build(small_system, cfg)
+
+
+def test_build_rejects_singular_preconditioner(small_system):
+    # L1 + t A = 0 leaves P with n columns of rank at most m < n
+    cfg = GssConfig(SparseMatrix(-small_system.A.to_scipy()), 1.0, 1.0,
+                    s=1.0, t=1.0)
+    with pytest.raises(Singular):
+        build(small_system, cfg)
+
+
+def test_case_presets_converge_at_l64():
+    sysv = example1(64)
+    d = rhs_for_ones(sysv)
+    pess = case_preset("II", sysv, s=12.0)
+    lpess = make_config("lpess", lambda2=1.0, lambda3=0.001, s=12.0)
+    for cfg in (pess, lpess):
+        rep = gmres(sysv, d, precond=build(sysv, cfg).apply, tol=1e-6)
+        assert rep.converged and rep.iterations <= 3
+        assert true_residual(sysv, rep.solution, d) < 1e-6
 
 
 # -- splitting identity ----------------------------------------------------
@@ -165,6 +178,6 @@ def test_bd_matches_explicit_blocks(small_system, rng):
     import scipy.linalg as sla
     M = sla.block_diag(A, S, CSC)
     r = rng.standard_normal(small_system.size)
-    assert np.allclose(apply_bd(P, r), np.linalg.solve(M, r), atol=1e-8)
+    assert np.allclose(P.apply(r), np.linalg.solve(M, r), atol=1e-8)
     d = rhs_for_ones(small_system)
     assert isinstance(P.apply(d), BlockVector)
