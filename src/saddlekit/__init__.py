@@ -11,7 +11,6 @@ from .params import ParamEstimate, estimate_params, phi, phi_minimizer
 from .precond import (BdPreconditioner, GssConfig, GssPreconditioner, build,
                       build_bd, make_config, splitting_residual)
 from .problems import NoiseSpec, case_preset, example1, load_external, perturb
-from .sparse import SparseMatrix, norm2_estimate
 from .spectral import (BoundReport, InapplicableBound, ScalarExtremes,
                        check_pess_nonreal, check_real_interval,
                        check_unit_disk, condition_number, lpess_bounds,

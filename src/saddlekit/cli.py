@@ -157,9 +157,7 @@ def _make_precond(kind, sys_, args):
         # Case I pairs the scalars with identity operands; Case II with
         # P = A, Q = I, W = C C^T
         if args.case == "II":
-            from . import sparse as _sparse
-            ops = {"P": sys_.A, "Q": 1.0,
-                   "W": _sparse.spmm(sys_.C, sys_.C.transpose())}
+            ops = {"P": sys_.A, "Q": 1.0, "W": sys_.C @ sys_.C.T}
         else:
             ops = {}
         if kind == "egss":
@@ -329,7 +327,7 @@ def cmd_params(args):
     if args.preset:
         if args.preset == "pess-II":
             cfg = precond.GssConfig(sys_.A, est.beta_est, lam3,
-                                    s=est.s_est, t=est.s_est, kind="pess")
+                                    s=est.s_est, kind="pess")
         else:
             cfg = precond.make_config("lpess", lambda2=est.beta_est,
                                       lambda3=lam3, s=est.s_est)

@@ -9,23 +9,27 @@ round trip is value-exact.
 from __future__ import annotations
 
 import csv
+import io
 import json
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .sparse import SparseMatrix
+import scipy.io
+import scipy.sparse as sp
 
 _HEADER = "%%MatrixMarket"
+# comment and blank lines, which scipy's reader rejects after the size line
+_SKIPPED_LINES = re.compile(rb"^(?:%[^\n]*|\s*?)(?:\n|\Z)", re.MULTILINE)
 
 
 class MatrixMarketError(ValueError):
     pass
 
 
-def read_matrix_market(path) -> SparseMatrix:
-    with open(path) as fh:
-        header = fh.readline().split()
+def read_matrix_market(path) -> sp.csr_matrix:
+    with open(path, "rb") as fh:
+        header = fh.readline().decode("ascii", "replace").split()
         if (len(header) < 4 or header[0] != _HEADER
                 or header[1].lower() != "matrix"):
             raise MatrixMarketError(f"{path}: malformed Matrix Market header")
@@ -41,59 +45,21 @@ def read_matrix_market(path) -> SparseMatrix:
         if symmetry not in ("general", "symmetric"):
             raise MatrixMarketError(f"{path}: unsupported symmetry "
                                     f"{symmetry!r}")
-
-        lines = (ln for ln in fh if ln.strip() and not ln.startswith("%"))
-        try:
-            sizes = next(lines).split()
-        except StopIteration:
-            raise MatrixMarketError(f"{path}: missing size line") from None
-
-        if layout == "coordinate":
-            if len(sizes) != 3:
-                raise MatrixMarketError(f"{path}: bad coordinate size line")
-            nrows, ncols, nnz = (int(t) for t in sizes)
-            entries = []
-            for _ in range(nnz):
-                try:
-                    tok = next(lines).split()
-                except StopIteration:
-                    raise MatrixMarketError(
-                        f"{path}: fewer entries than declared") from None
-                i, j, v = int(tok[0]) - 1, int(tok[1]) - 1, float(tok[2])
-                if not (0 <= i < nrows and 0 <= j < ncols):
-                    raise MatrixMarketError(f"{path}: index out of bounds")
-                entries.append((i, j, v))
-                if symmetry == "symmetric" and i != j:
-                    entries.append((j, i, v))
-            return SparseMatrix.from_triplets(nrows, ncols, entries)
-
-        # array layout: column-major dense listing
-        if len(sizes) != 2:
-            raise MatrixMarketError(f"{path}: bad array size line")
-        nrows, ncols = (int(t) for t in sizes)
-        if symmetry == "symmetric":
-            dense = np.zeros((nrows, ncols))
-            for j in range(ncols):
-                for i in range(j, nrows):
-                    v = float(next(lines))
-                    dense[i, j] = v
-                    dense[j, i] = v
-        else:
-            vals = np.array([float(next(lines))
-                             for _ in range(nrows * ncols)])
-            dense = vals.reshape((ncols, nrows)).T
-        return SparseMatrix.from_dense(dense)
+        body = _SKIPPED_LINES.sub(b"", fh.read())
+    banner = f"{_HEADER} matrix {layout} {field_kind} {symmetry}\n".encode()
+    try:
+        M = scipy.io.mmread(io.BytesIO(banner + body))
+    except (ValueError, OverflowError) as exc:
+        raise MatrixMarketError(f"{path}: {exc}") from None
+    return sp.csr_matrix(M, dtype=np.float64)
 
 
-def write_matrix_market(M: SparseMatrix, path):
+def write_matrix_market(M, path):
     """Coordinate format, 1-based indices, 17 significant digits, always
     tagged general."""
-    coo = M.to_scipy().tocoo()
-    with open(path, "w") as fh:
-        fh.write(f"{_HEADER} matrix coordinate real general\n")
-        fh.write(f"{M.nrows} {M.ncols} {coo.nnz}\n")
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{i + 1} {j + 1} {v:.17g}\n")
+    with open(path, "wb") as fh:
+        scipy.io.mmwrite(fh, sp.csr_matrix(M), precision=17,
+                         symmetry="general")
 
 
 # -- experiment reports ---------------------------------------------------

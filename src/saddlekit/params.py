@@ -22,10 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.linalg import norm as sparse_norm
 
 from .dense import cholesky, cholesky_solve
 from .precond import GssConfig, operand_dense
-from .sparse import frobenius_norm, power_norm2
 from .system import SaddlePointSystem
 
 
@@ -38,10 +38,10 @@ def phi(sys: SaddlePointSystem, cfg: GssConfig, s: float) -> float:
     l1 = operand_dense(cfg.lambda1, sys.n)
     l2 = operand_dense(cfg.lambda2, sys.m)
     l3 = operand_dense(cfg.lambda3, sys.p)
-    a_f2 = frobenius_norm(sys.A) ** 2
-    b_f2 = frobenius_norm(sys.B) ** 2
-    c_f2 = frobenius_norm(sys.C) ** 2
-    tr_l1a = float(np.sum(l1 * sys.A.to_dense())) if l1.any() else 0.0
+    a_f2 = sparse_norm(sys.A, "fro") ** 2
+    b_f2 = sparse_norm(sys.B, "fro") ** 2
+    c_f2 = sparse_norm(sys.C, "fro") ** 2
+    tr_l1a = float(np.sum(l1 * sys.A.toarray())) if l1.any() else 0.0
     d = s - 1.0
     return (np.sum(l1**2) + np.sum(l2**2) + np.sum(l3**2)
             + d**2 * a_f2 + 2.0 * d * tr_l1a + 2.0 * d**2 * (b_f2 + c_f2))
@@ -51,10 +51,43 @@ def phi_minimizer(sys: SaddlePointSystem, cfg: GssConfig) -> float:
     """Analytic minimizer of the quadratic phi:
     s* = 1 - tr(L1 A) / (||A||_F^2 + 2 ||B||_F^2 + 2 ||C||_F^2)."""
     l1 = operand_dense(cfg.lambda1, sys.n)
-    tr_l1a = float(np.sum(l1 * sys.A.to_dense())) if l1.any() else 0.0
-    denom = (frobenius_norm(sys.A) ** 2 + 2.0 * frobenius_norm(sys.B) ** 2
-             + 2.0 * frobenius_norm(sys.C) ** 2)
+    tr_l1a = float(np.sum(l1 * sys.A.toarray())) if l1.any() else 0.0
+    denom = (sparse_norm(sys.A, "fro") ** 2
+             + 2.0 * sparse_norm(sys.B, "fro") ** 2
+             + 2.0 * sparse_norm(sys.C, "fro") ** 2)
     return 1.0 - tr_l1a / denom
+
+
+@dataclass(frozen=True)
+class Norm2Estimate:
+    value: float
+    converged: bool
+    iterations: int
+
+    def __float__(self):
+        return self.value
+
+
+def power_norm2(apply_mtm, n, tol=1e-10, maxit=5000) -> Norm2Estimate:
+    """Power iteration on a symmetric positive semidefinite operator M^T M.
+
+    ``apply_mtm(x)`` must return (M^T M) x.  Seeded with ones/sqrt(n) for
+    run-to-run reproducibility; returns sqrt of the dominant eigenvalue
+    estimate.
+    """
+    x = np.full(n, 1.0 / np.sqrt(n))
+    lam = 0.0
+    for k in range(1, maxit + 1):
+        y = apply_mtm(x)
+        ny = np.linalg.norm(y)
+        if ny == 0.0:
+            return Norm2Estimate(0.0, True, k)
+        lam_new = float(x @ y)
+        x = y / ny
+        if k > 1 and abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
+            return Norm2Estimate(float(np.sqrt(max(lam_new, 0.0))), True, k)
+        lam = lam_new
+    return Norm2Estimate(float(np.sqrt(max(lam, 0.0))), False, maxit)
 
 
 @dataclass(frozen=True)
@@ -74,22 +107,22 @@ def estimate_params(sys: SaddlePointSystem, lambda3,
     resulting L2 = beta_est I (whose 2-norm is beta_est itself)."""
     lam3 = operand_dense(lambda3, sys.p)
     lam3_f = cholesky(lam3)
-    Ct = sys.C.transpose()
+    A, B, C = sys.A, sys.B, sys.C
 
     def ctl3c(x):
-        return Ct.matvec(cholesky_solve(lam3_f, sys.C.matvec(x)))
+        return C.T @ cholesky_solve(lam3_f, C @ x)
 
     # the operator is symmetric PSD, so M^T M = M applied twice
     norm_ctl3c = power_norm2(lambda x: ctl3c(ctl3c(x)), sys.m,
                              tol=tol, maxit=maxit)
 
     def a_mtm(x):
-        return sys.A.matvec(sys.A.matvec(x))
+        return A @ (A @ x)
 
     norm_a = power_norm2(a_mtm, sys.n, tol=tol, maxit=maxit)
 
     def b_mtm(x):
-        return sys.B.matvec_transpose(sys.B.matvec(x))
+        return B.T @ (B @ x)
 
     norm_b = power_norm2(b_mtm, sys.n, tol=tol, maxit=maxit)
 

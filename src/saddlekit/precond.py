@@ -2,14 +2,14 @@
 
 One parameterized form covers the whole family:
 
-    P = [ L1 + t*A   s*B^T    0    ]
-        [  -s*B       L2    -s*C^T ]
-        [   0        s*C      L3   ]
+    P = Sigma + s*Amat = [ L1 + s*A   s*B^T    0    ]
+                         [  -s*B       L2    -s*C^T ]
+                         [   0        s*C      L3   ]
 
-with SPD shifts L1 (optionally absent), L2, L3 and scalars s > 0, t >= 0.
-The named variants are parameter choices of this form; global scalar
-prefactors are folded into the shifts, which leaves right-preconditioned
-GMRES iterates unchanged.
+with Sigma = blockdiag(L1, L2, L3) of SPD shifts (L1 optionally absent), the
+coefficient matrix Amat and a scalar s > 0.  The named variants are
+parameter choices of this form; global scalar prefactors are folded into
+the shifts, which leaves right-preconditioned GMRES iterates unchanged.
 
 P is sparse for every variant: ``build`` assembles it once and takes one
 sparse LU of P; each apply is two sparse triangular solves.
@@ -21,19 +21,20 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.sparse.linalg import splu
 
 from .dense import (CholeskyFactor, NotPositiveDefinite, Singular, cholesky,
                     cholesky_solve)
-from .sparse import SparseMatrix
-from .system import BlockVector, SaddlePointSystem, to_dense
+from .system import BlockVector, SaddlePointSystem
 
 KINDS = ("pess", "lpess", "ss", "rss", "egss", "rpgss")
 
 
 # -- SPD operand handling ---------------------------------------------
 # A shift may be given as None (absent), a positive scalar (multiple of the
-# identity), a 1-d array (diagonal), a SparseMatrix, or a dense 2-d array.
+# identity), a 1-d array (diagonal), any scipy sparse matrix, or a dense
+# 2-d array.
 
 
 def operand_sparse(op, dim):
@@ -42,18 +43,15 @@ def operand_sparse(op, dim):
         return sp.csc_matrix((dim, dim))
     if np.isscalar(op):
         return float(op) * sp.identity(dim, format="csc")
-    if isinstance(op, SparseMatrix):
-        if op.shape != (dim, dim):
-            raise ValueError("shift operand dimension mismatch")
-        return op.to_scipy().tocsc()
-    arr = np.asarray(op, dtype=np.float64)
-    if arr.ndim == 1:
-        if arr.shape[0] != dim:
-            raise ValueError("diagonal shift operand dimension mismatch")
-        return sp.diags(arr, format="csc")
-    if arr.shape != (dim, dim):
+    if not sp.issparse(op):
+        op = np.asarray(op, dtype=np.float64)
+        if op.ndim == 1:
+            if op.shape[0] != dim:
+                raise ValueError("diagonal shift operand dimension mismatch")
+            return sp.diags(op, format="csc")
+    if op.shape != (dim, dim):
         raise ValueError("shift operand dimension mismatch")
-    return sp.csc_matrix(arr)
+    return sp.csc_matrix(op, dtype=np.float64)
 
 
 def operand_dense(op, dim):
@@ -89,7 +87,7 @@ def _require_spd(op, dim, what):
 
 @dataclass(frozen=True)
 class GssConfig:
-    """Shift-splitting parameter set (L1, L2, L3, s, t).
+    """Shift-splitting parameter set (L1, L2, L3, s).
 
     ``lambda1 is None`` encodes the relaxed variants that drop the (1,1)
     shift entirely.
@@ -99,16 +97,11 @@ class GssConfig:
     lambda2: object
     lambda3: object
     s: float
-    t: float
     kind: str = "pess"
 
     def __post_init__(self):
         if self.s <= 0:
             raise ValueError("s must be positive")
-        if self.t < 0:
-            raise ValueError("t must be nonnegative")
-        if self.lambda1 is None and self.t == 0:
-            raise ValueError("a zero (1,1) shift requires t > 0")
         if self.lambda2 is None or self.lambda3 is None:
             raise ValueError("lambda2 and lambda3 must be SPD")
         for name in ("lambda1", "lambda2", "lambda3"):
@@ -118,38 +111,38 @@ class GssConfig:
 
     @property
     def is_pess(self):
-        return self.lambda1 is not None and self.t == self.s
+        return self.lambda1 is not None
 
 
 def make_config(kind, sys: SaddlePointSystem = None, **params) -> GssConfig:
     """Build the parameter set for a named variant.
 
-    pess:  lambda1, lambda2, lambda3, s           (t = s)
-    lpess: lambda2, lambda3, s                    (no lambda1, t = s)
-    ss:    alpha, s_half prefactors folded        ((a/2)I shifts, s = t = 1/2)
+    pess:  lambda1, lambda2, lambda3, s
+    lpess: lambda2, lambda3, s                    (no lambda1)
+    ss:    alpha, s_half prefactors folded        ((a/2)I shifts, s = 1/2)
     rss:   alpha                                  (no lambda1)
     egss:  alpha, beta, gamma, P, Q, W            ((a/2)P, (b/2)Q, (g/2)W)
-    rpgss: beta, gamma, Q, W                      (no lambda1, s = t = 1)
+    rpgss: beta, gamma, Q, W                      (no lambda1, s = 1)
     """
     kind = kind.lower()
     if kind not in KINDS:
         raise ValueError(f"unknown preconditioner kind {kind!r}")
     if kind == "pess":
         return GssConfig(params["lambda1"], params["lambda2"], params["lambda3"],
-                         s=float(params["s"]), t=float(params["s"]), kind=kind)
+                         s=float(params["s"]), kind=kind)
     if kind == "lpess":
         return GssConfig(None, params["lambda2"], params["lambda3"],
-                         s=float(params["s"]), t=float(params["s"]), kind=kind)
+                         s=float(params["s"]), kind=kind)
     if kind == "ss":
         a = float(params["alpha"])
         if a <= 0:
             raise ValueError("alpha must be positive")
-        return GssConfig(a / 2, a / 2, a / 2, s=0.5, t=0.5, kind=kind)
+        return GssConfig(a / 2, a / 2, a / 2, s=0.5, kind=kind)
     if kind == "rss":
         a = float(params["alpha"])
         if a <= 0:
             raise ValueError("alpha must be positive")
-        return GssConfig(None, a / 2, a / 2, s=0.5, t=0.5, kind=kind)
+        return GssConfig(None, a / 2, a / 2, s=0.5, kind=kind)
     if kind == "egss":
         a, b, g = (float(params[k]) for k in ("alpha", "beta", "gamma"))
         if min(a, b, g) <= 0:
@@ -158,21 +151,21 @@ def make_config(kind, sys: SaddlePointSystem = None, **params) -> GssConfig:
         Q = params.get("Q", 1.0)
         W = params.get("W", 1.0)
         return GssConfig(_scaled(a / 2, P), _scaled(b / 2, Q), _scaled(g / 2, W),
-                         s=0.5, t=0.5, kind=kind)
+                         s=0.5, kind=kind)
     # rpgss
     b, g = float(params["beta"]), float(params["gamma"])
     if min(b, g) <= 0:
         raise ValueError("beta and gamma must be positive")
     Q = params.get("Q", 1.0)
     W = params.get("W", 1.0)
-    return GssConfig(None, _scaled(b, Q), _scaled(g, W), s=1.0, t=1.0, kind=kind)
+    return GssConfig(None, _scaled(b, Q), _scaled(g, W), s=1.0, kind=kind)
 
 
 def _scaled(coef, op):
     if np.isscalar(op):
         return coef * float(op)
-    if isinstance(op, SparseMatrix):
-        return SparseMatrix(coef * op.to_scipy())
+    if sp.issparse(op):
+        return coef * op
     return coef * np.asarray(op, dtype=np.float64)
 
 
@@ -180,14 +173,8 @@ def _scaled(coef, op):
 
 
 def gss_matrix(sys: SaddlePointSystem, cfg: GssConfig) -> sp.csc_matrix:
-    """P assembled as one sparse CSC matrix."""
-    s = cfg.s
-    A, B, C = sys.A.to_scipy(), sys.B.to_scipy(), sys.C.to_scipy()
-    return sp.bmat([
-        [operand_sparse(cfg.lambda1, sys.n) + cfg.t * A, s * B.T, None],
-        [-s * B, operand_sparse(cfg.lambda2, sys.m), -s * C.T],
-        [None, s * C, operand_sparse(cfg.lambda3, sys.p)],
-    ], format="csc")
+    """P = Sigma + s * Amat as one sparse CSC matrix."""
+    return (sigma_matrix(sys, cfg) + cfg.s * sys.matrix).tocsc()
 
 
 def sigma_matrix(sys: SaddlePointSystem, cfg: GssConfig) -> sp.csc_matrix:
@@ -260,9 +247,9 @@ class BdPreconditioner:
 
 def build_bd(sys: SaddlePointSystem) -> BdPreconditioner:
     """Exact block diagonal baseline diag(A, S, C S^{-1} C^T), S = B A^{-1} B^T."""
-    Ad = sys.A.to_dense()
-    Bd = sys.B.to_dense()
-    Cd = sys.C.to_dense()
+    Ad = sys.A.toarray()
+    Bd = sys.B.toarray()
+    Cd = sys.C.toarray()
     a_factor = cholesky(Ad)
     S = Bd @ cholesky_solve(a_factor, Bd.T)
     S = 0.5 * (S + S.T)
@@ -282,16 +269,8 @@ def gss_dense_matrix(sys: SaddlePointSystem, cfg: GssConfig):
 
 
 def splitting_residual(sys: SaddlePointSystem, cfg: GssConfig) -> float:
-    """Frobenius norm of (P - Q) - coefficient matrix for the splitting.
-
-    For t = s the splitting complement Q = Sigma - (1-s)*Amat is formed
-    explicitly; otherwise Q is defined as P - Amat and the residual is zero
-    by construction.
-    """
-    Amat = to_dense(sys)
-    P = gss_dense_matrix(sys, cfg)
-    if cfg.t == cfg.s:
-        Q = sigma_matrix(sys, cfg).toarray() - (1.0 - cfg.s) * Amat
-    else:
-        Q = P - Amat
-    return float(np.linalg.norm((P - Q) - Amat, "fro"))
+    """Frobenius norm of (P - Q) - Amat for the splitting complement
+    Q = Sigma - (1-s) Amat, formed explicitly."""
+    Amat = sys.matrix
+    Q = sigma_matrix(sys, cfg) - (1.0 - cfg.s) * Amat
+    return float(spla.norm((gss_matrix(sys, cfg) - Q) - Amat, "fro"))

@@ -23,9 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from . import sparse
+from . import mmio
 from .precond import GssConfig
-from .sparse import SparseMatrix
 from .system import SaddlePointSystem, assemble
 
 
@@ -33,18 +32,19 @@ def example1(l: int) -> SaddlePointSystem:
     """The Kronecker-structured generated problem of order 4 l^2."""
     if l < 2:
         raise ValueError("l must be at least 2")
-    G = sparse.tridiag(l, -1.0, 2.0, -1.0)
-    G = SparseMatrix(G.to_scipy() * (l + 1) ** 2)
-    F = sparse.tridiag(l, 0.0, 1.0, -1.0)
-    F = SparseMatrix(F.to_scipy() * (l + 1))
-    E = sparse.diag(np.arange(l, dtype=np.float64) * l + 1.0)
-    I = sparse.identity(l)
+    # CSR throughout: scipy's default formats here cost extra conversions
+    G = (l + 1) ** 2 * sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(l, l),
+                                format="csr")
+    F = (l + 1) * sp.diags([0.0, 1.0, -1.0], [-1, 0, 1], shape=(l, l),
+                           format="csr")
+    E = sp.diags(np.arange(l, dtype=np.float64) * l + 1.0, format="csr")
+    I = sp.identity(l, format="csr")
 
-    T = sparse.kron(I, G).to_scipy() + sparse.kron(G, I).to_scipy()
-    A = SparseMatrix(sp.block_diag([T, T], format="csr"))
-    B = SparseMatrix(sp.hstack([sparse.kron(I, F).to_scipy(),
-                                sparse.kron(F, I).to_scipy()], format="csr"))
-    C = sparse.kron(E, F)
+    T = sp.kron(I, G, format="csr") + sp.kron(G, I, format="csr")
+    A = sp.block_diag([T, T], format="csr")
+    B = sp.hstack([sp.kron(I, F, format="csr"), sp.kron(F, I, format="csr")],
+                  format="csr")
+    C = sp.kron(E, F, format="csr")
     return assemble(A, B, C)
 
 
@@ -63,10 +63,9 @@ def case_preset(case: str, sys: SaddlePointSystem, s: float,
         raise ValueError("case must be 'I' or 'II'")
     coef = 0.001 if lambda3_coef is None else float(lambda3_coef)
     if case == "I":
-        return GssConfig(1.0, 1.0, coef, s=float(s), t=float(s), kind="pess")
-    CCt = sparse.spmm(sys.C, sys.C.transpose())
-    lam3 = SparseMatrix(coef * CCt.to_scipy())
-    return GssConfig(sys.A, 1.0, lam3, s=float(s), t=float(s), kind="pess")
+        return GssConfig(1.0, 1.0, coef, s=float(s), kind="pess")
+    return GssConfig(sys.A, 1.0, coef * (sys.C @ sys.C.T), s=float(s),
+                     kind="pess")
 
 
 @dataclass(frozen=True)
@@ -91,24 +90,20 @@ def perturb(sys: SaddlePointSystem, noise: NoiseSpec) -> SaddlePointSystem:
     if noise.percentage == 0.0:
         return sys
     rng = np.random.default_rng(noise.seed)
-    Bd = sys.B.to_dense()
-    Cd = sys.C.to_dense()
+    Bd = sys.B.toarray()
+    Cd = sys.C.toarray()
     dB = noise.scale * noise.percentage * Bd.std() * rng.standard_normal(Bd.shape)
     dC = noise.scale * noise.percentage * Cd.std() * rng.standard_normal(Cd.shape)
-    return assemble(sys.A,
-                    SparseMatrix.from_dense(Bd + dB),
-                    SparseMatrix.from_dense(Cd + dC))
+    return assemble(sys.A, Bd + dB, Cd + dC)
 
 
 def load_external(path_a, path_b, path_c, shift_a: float = 0.0) -> SaddlePointSystem:
     """Assemble a system from three Matrix Market files; ``shift_a`` adds a
     diagonal shift (typically 0.001) to enforce positive definiteness of the
     leading block."""
-    from .mmio import read_matrix_market
-
-    A = read_matrix_market(path_a)
-    B = read_matrix_market(path_b)
-    C = read_matrix_market(path_c)
+    A = mmio.read_matrix_market(path_a)
+    B = mmio.read_matrix_market(path_b)
+    C = mmio.read_matrix_market(path_c)
     if shift_a:
-        A = SparseMatrix(A.to_scipy() + shift_a * sp.identity(A.nrows, format="csr"))
+        A = A + shift_a * sp.identity(A.shape[0], format="csr")
     return assemble(A, B, C)

@@ -29,7 +29,7 @@ import numpy as np
 from .dense import (ComplexSpectrum, NotPositiveDefinite, Singular, cholesky,
                     cholesky_solve, cond2, eig_general, gen_eig_spd)
 from .precond import GssConfig, operand_dense
-from .system import DENSIFY_LIMIT, SaddlePointSystem, to_dense
+from .system import SaddlePointSystem, to_dense
 
 THETA_TILDE_CONVENTION = "lambda3_inv_C_lambda2_inv_Ct"
 
@@ -67,9 +67,6 @@ class BoundReport:
 def preconditioned_spectrum(sys: SaddlePointSystem, precond=None) -> ComplexSpectrum:
     """Eigenvalues of P^{-1} A, densified column by column (or of A itself
     when no preconditioner is given)."""
-    if sys.size > DENSIFY_LIMIT:
-        raise ValueError(f"system size {sys.size} exceeds densification "
-                         f"limit {DENSIFY_LIMIT}")
     M = to_dense(sys)
     if precond is not None:
         M = precond.apply(M) if hasattr(precond, "apply") else precond(M)
@@ -80,9 +77,9 @@ def scalar_extremes(sys: SaddlePointSystem, cfg: GssConfig) -> ScalarExtremes:
     """Generalized-eigenvalue extremes of the symmetric pairs behind the
     localization bounds.  xi and eta need an SPD L1; the vartheta / theta~
     pair covers the dropped-shift scheme."""
-    Ad = sys.A.to_dense()
-    Bd = sys.B.to_dense()
-    Cd = sys.C.to_dense()
+    Ad = sys.A.toarray()
+    Bd = sys.B.toarray()
+    Cd = sys.C.toarray()
     lam2 = operand_dense(cfg.lambda2, sys.m)
     lam3 = operand_dense(cfg.lambda3, sys.p)
 
@@ -275,9 +272,6 @@ def lpess_bounds(spectrum, extremes: ScalarExtremes, s: float, n: int,
 
 def condition_number(sys: SaddlePointSystem, precond=None) -> float:
     """Two-norm condition number of the densified (preconditioned) operator."""
-    if sys.size > DENSIFY_LIMIT:
-        raise ValueError(f"system size {sys.size} exceeds densification "
-                         f"limit {DENSIFY_LIMIT}")
     M = to_dense(sys)
     if precond is not None:
         M = precond.apply(M) if hasattr(precond, "apply") else precond(M)

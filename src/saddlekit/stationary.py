@@ -6,8 +6,7 @@ The splitting A = P - Q gives the fixed-point scheme
     u_{k+1} = u_k + P^{-1} (d - A u_k)
 
 which converges iff the spectral radius of the iteration matrix P^{-1} Q is
-below one.  For the symmetric-shift scheme (t = s, all shifts SPD) that is
-equivalent to
+below one.  When all three shifts are SPD that is equivalent to
 
     (2 s - 1) |mu|^2 + 2 Re(mu) > 0
 
@@ -107,7 +106,7 @@ def convergence_predicate(sys: SaddlePointSystem, cfg: GssConfig,
     """(2s-1)|mu|^2 + 2 Re(mu) > 0 over the scaled spectrum; the witness is
     the eigenvalue attaining the minimal left-hand side."""
     if not cfg.is_pess:
-        raise ValueError("predicate applies to the t = s SPD-shift scheme")
+        raise ValueError("predicate needs an SPD (1,1) shift")
     if mu is None:
         mu = scaled_spectrum(sys, cfg)
     mu = np.asarray(mu, dtype=np.complex128)
@@ -125,9 +124,3 @@ def sufficient_s_lower_bound(sys: SaddlePointSystem, cfg: GssConfig) -> float:
     lmin = float(eig_symmetric(0.5 * (sym + sym.T))[0])
     rho = float(np.max(np.abs(eig_general(M).eigenvalues)))
     return max(0.5 * (1.0 - lmin / rho**2), 0.0)
-
-
-def spectral_radius_iteration_matrix(sys: SaddlePointSystem, precond) -> float:
-    """rho(I - P^{-1} A) by densifying the preconditioned operator."""
-    PA = precond.apply(to_dense(sys))
-    return float(np.max(np.abs(eig_general(np.eye(sys.size) - PA).eigenvalues)))

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from saddlekit.sparse import SparseMatrix
-from saddlekit.system import SaddlePointSystem, assemble
+from saddlekit.dense import eig_general
+from saddlekit.system import assemble, to_dense
 
 
 def random_system(rng, n=12, m=8, p=5, spd_shift=0.5):
@@ -16,9 +16,13 @@ def random_system(rng, n=12, m=8, p=5, spd_shift=0.5):
     A = M @ M.T + spd_shift * n * np.eye(n)
     B = rng.standard_normal((m, n))
     C = rng.standard_normal((p, m))
-    return assemble(SparseMatrix(sp.csr_matrix(A)),
-                    SparseMatrix(sp.csr_matrix(B)),
-                    SparseMatrix(sp.csr_matrix(C)))
+    return assemble(sp.csr_matrix(A), sp.csr_matrix(B), sp.csr_matrix(C))
+
+
+def iteration_matrix_radius(sys, precond):
+    """rho(I - P^{-1} A) by densifying the preconditioned operator."""
+    PA = precond.apply(to_dense(sys))
+    return float(np.max(np.abs(eig_general(np.eye(sys.size) - PA).eigenvalues)))
 
 
 def random_spd(rng, k, shift=1.0):

@@ -25,12 +25,10 @@ from saddlekit.spectral import (check_pess_nonreal, check_real_interval,
                                 lpess_bound_values, lpess_bounds,
                                 pess_nonreal_bounds, pess_real_interval,
                                 preconditioned_spectrum, scalar_extremes)
-from saddlekit.stationary import (Diverged, convergence_predicate,
-                                  pess_iterate,
-                                  spectral_radius_iteration_matrix)
+from saddlekit.stationary import Diverged, convergence_predicate, pess_iterate
 from saddlekit.system import rhs_for_ones
 
-from conftest import random_system
+from conftest import iteration_matrix_radius, random_system
 
 MONITORED_RUNS = []  # every gmres run issued by this suite
 
@@ -340,7 +338,7 @@ def test_criterion6_stationary_equivalence():
         lam3 = 1e-4 if s < 0.5 else 0.001
         cfg = make_config("pess", lambda1=1.0, lambda2=1.0, lambda3=lam3, s=s)
         pred = convergence_predicate(sysv, cfg)
-        rho = spectral_radius_iteration_matrix(sysv, build(sysv, cfg))
+        rho = iteration_matrix_radius(sysv, build(sysv, cfg))
         if abs(rho - 1.0) < 1e-8:
             continue
         if pred.holds != (rho < 1.0):

@@ -6,10 +6,10 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from saddlekit.cli import EXIT_NOCONV, EXIT_OK, EXIT_USAGE, main
 from saddlekit.mmio import write_matrix_market
-from saddlekit.sparse import SparseMatrix
 
 GEN = ["--gen-l", "3"]
 
@@ -150,7 +150,7 @@ def test_indefinite_load_is_a_usage_error(tmp_path, capsys):
     paths = []
     for name, M in blocks.items():
         path = tmp_path / f"{name}.mtx"
-        write_matrix_market(SparseMatrix.from_dense(M), path)
+        write_matrix_market(sp.csr_matrix(M), path)
         paths.append(str(path))
     rc = main(["solve", "--load", *paths, "--precond", "bd"])
     assert rc == EXIT_USAGE

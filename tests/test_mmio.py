@@ -5,21 +5,22 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from saddlekit.cli import EXIT_USAGE, main
 from saddlekit.mmio import (CSV_COLUMNS, MatrixMarketError, ReportRecord,
                             format_res, read_matrix_market, write_matrix_market,
                             write_report)
-from saddlekit.sparse import SparseMatrix
 
 
 def test_write_read_round_trip(tmp_path, rng):
     D = rng.standard_normal((5, 7))
     D[np.abs(D) < 0.5] = 0.0
     path = tmp_path / "m.mtx"
-    write_matrix_market(SparseMatrix.from_dense(D), path)
+    write_matrix_market(sp.csr_matrix(D), path)
     back = read_matrix_market(path)
     # 17 significant digits make the round trip value-exact
-    assert np.array_equal(back.to_dense(), D)
+    assert np.array_equal(back.toarray(), D)
 
 
 def test_read_symmetric_coordinate(tmp_path):
@@ -29,7 +30,7 @@ def test_read_symmetric_coordinate(tmp_path):
                     "1 1 2.0\n"
                     "2 1 -1.0\n"
                     "3 3 4.5\n")
-    M = read_matrix_market(path).to_dense()
+    M = read_matrix_market(path).toarray()
     expect = np.array([[2.0, -1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 4.5]])
     assert np.array_equal(M, expect)
 
@@ -39,7 +40,7 @@ def test_read_array_layout(tmp_path):
     # column-major listing of [[1, 3], [2, 4]]
     path.write_text("%%MatrixMarket matrix array real general\n"
                     "2 2\n1\n2\n3\n4\n")
-    assert np.array_equal(read_matrix_market(path).to_dense(),
+    assert np.array_equal(read_matrix_market(path).toarray(),
                           np.array([[1.0, 3.0], [2.0, 4.0]]))
 
 
@@ -48,7 +49,7 @@ def test_read_array_symmetric(tmp_path):
     # lower triangle of [[1, 2], [2, 5]]
     path.write_text("%%MatrixMarket matrix array real symmetric\n"
                     "2 2\n1\n2\n5\n")
-    assert np.array_equal(read_matrix_market(path).to_dense(),
+    assert np.array_equal(read_matrix_market(path).toarray(),
                           np.array([[1.0, 2.0], [2.0, 5.0]]))
 
 
@@ -59,7 +60,7 @@ def test_read_skips_comments_and_blanks(tmp_path):
                     "2 2 1\n"
                     "% another\n"
                     "2 2 7.0\n")
-    M = read_matrix_market(path).to_dense()
+    M = read_matrix_market(path).toarray()
     assert M[1, 1] == 7.0 and M.sum() == 7.0
 
 
@@ -86,6 +87,25 @@ def test_read_rejects_out_of_bounds_and_truncation(tmp_path):
                     "2 2 2\n1 1 1.0\n")
     with pytest.raises(MatrixMarketError):
         read_matrix_market(path)
+
+
+TRUNCATED = {
+    "array": "%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n",
+    "no-value": "%%MatrixMarket matrix coordinate real general\n"
+                "2 2 1\n1 1\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRUNCATED))
+def test_truncated_files_are_typed_errors(tmp_path, capsys, name):
+    path = tmp_path / "A.mtx"
+    path.write_text(TRUNCATED[name])
+    with pytest.raises(MatrixMarketError):
+        read_matrix_market(path)
+    rc = main(["solve", "--load", str(path), str(path), str(path)])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_format_res():

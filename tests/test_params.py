@@ -1,13 +1,17 @@
-"""Parameter-selection strategies: the closed-form splitting-norm quadratic
-and the norm-balancing estimates."""
+"""Parameter-selection strategies: the closed-form splitting-norm quadratic,
+the seeded power-iteration 2-norm estimator and the norm-balancing
+estimates."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from saddlekit.params import estimate_params, phi, phi_minimizer
-from saddlekit.precond import gss_dense_matrix, make_config, operand_dense
+from saddlekit.params import estimate_params, phi, phi_minimizer, power_norm2
+from saddlekit.precond import make_config, operand_dense
 from saddlekit.problems import example1
-from saddlekit.system import to_dense
+from saddlekit.system import assemble, to_dense
 
 from conftest import random_system
 
@@ -62,20 +66,44 @@ def test_phi_convex(small_system):
     assert np.all(second > -1e-8 * np.abs(vals[1:-1]))
 
 
+def test_power_norm2_against_svd(rng):
+    D = rng.standard_normal((8, 8))
+    est = power_norm2(lambda x: D.T @ (D @ x), 8, tol=1e-12)
+    assert est.converged
+    assert float(est) == pytest.approx(np.linalg.norm(D, 2), rel=1e-8)
+
+
+def test_power_norm2_deterministic():
+    D = np.diag([3.0, 1.0, 0.5])
+    e1 = power_norm2(lambda x: D @ (D @ x), 3)
+    e2 = power_norm2(lambda x: D @ (D @ x), 3)
+    assert float(e1) == float(e2) == pytest.approx(3.0)
+
+
+def test_power_norm2_zero_operator():
+    est = power_norm2(lambda x: np.zeros_like(x), 4)
+    assert float(est) == 0.0 and est.converged
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 10), st.integers(0, 2**31 - 1))
+def test_power_norm2_matches_svd(k, seed):
+    D = np.random.default_rng(seed).standard_normal((k, k))
+    est = power_norm2(lambda x: D.T @ (D @ x), k, tol=1e-12)
+    # power iteration approaches the top singular value from below
+    assert float(est) <= np.linalg.norm(D, 2) * (1 + 1e-8)
+    assert float(est) >= 0.0
+
+
 def test_estimate_params_golden_identity(rng):
     """With C orthogonal-ish replaced by identity blocks the estimates have
     a closed form: ||C^T L3^{-1} C||=1 when C=I, L3=I, so
     beta = ||B||^4/(4 ||A||^2) and s = sqrt(beta)."""
-    from saddlekit.sparse import SparseMatrix
-    from saddlekit.system import assemble
-
     n, m = 6, 4
     M = rng.standard_normal((n, n))
     A = M @ M.T + n * np.eye(n)
     B = rng.standard_normal((m, n))
-    sysv = assemble(SparseMatrix.from_dense(A),
-                    SparseMatrix.from_dense(B),
-                    SparseMatrix.from_dense(np.eye(m)))
+    sysv = assemble(sp.csr_matrix(A), sp.csr_matrix(B), sp.identity(m))
     est = estimate_params(sysv, lambda3=1.0)
     na = np.linalg.norm(A, 2)
     nb = np.linalg.norm(B, 2)
@@ -88,13 +116,9 @@ def test_estimate_params_golden_identity(rng):
 def test_estimate_params_scaling_law(rng):
     """Scaling C -> c C multiplies ||C^T L3^{-1} C|| by c^2, leaving beta
     divided by c^2 and s divided by c^2."""
-    from saddlekit.sparse import SparseMatrix
-    from saddlekit.system import assemble
-
     sysv = random_system(np.random.default_rng(42))
     c = 10.0
-    scaled = assemble(sysv.A, sysv.B,
-                      SparseMatrix.from_dense(c * sysv.C.to_dense()))
+    scaled = assemble(sysv.A, sysv.B, c * sysv.C)
     e1 = estimate_params(sysv, lambda3=1.0)
     e2 = estimate_params(scaled, lambda3=1.0)
     assert e2.norms["norm_ctl3c"] == pytest.approx(c**2 * e1.norms["norm_ctl3c"],

@@ -11,7 +11,6 @@ from saddlekit.precond import (KINDS, GssConfig, build, build_bd,
                                gss_dense_matrix, make_config,
                                splitting_residual)
 from saddlekit.problems import case_preset, example1
-from saddlekit.sparse import SparseMatrix
 from saddlekit.system import BlockVector, rhs_for_ones
 
 from conftest import random_system
@@ -35,27 +34,22 @@ def all_kind_configs(sys):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        GssConfig(1.0, 1.0, 1.0, s=-1.0, t=1.0)
+        GssConfig(1.0, 1.0, 1.0, s=-1.0)
     with pytest.raises(ValueError):
-        GssConfig(1.0, 1.0, 1.0, s=1.0, t=-0.5)
+        GssConfig(1.0, None, 1.0, s=1.0)
     with pytest.raises(ValueError):
-        GssConfig(None, 1.0, 1.0, s=1.0, t=0.0)  # zero (1,1) shift, t = 0
+        GssConfig(1.0, 1.0, None, s=1.0)
     with pytest.raises(ValueError):
-        GssConfig(1.0, None, 1.0, s=1.0, t=1.0)
+        GssConfig(-1.0, 1.0, 1e-3, s=2.0)
     with pytest.raises(ValueError):
-        GssConfig(1.0, 1.0, None, s=1.0, t=1.0)
+        GssConfig(1.0, -0.5, 1e-3, s=2.0)
     with pytest.raises(ValueError):
-        GssConfig(-1.0, 1.0, 1e-3, s=2.0, t=2.0)
-    with pytest.raises(ValueError):
-        GssConfig(1.0, -0.5, 1e-3, s=2.0, t=2.0)
-    with pytest.raises(ValueError):
-        GssConfig(1.0, 0.0, 1e-3, s=2.0, t=2.0)
+        GssConfig(1.0, 0.0, 1e-3, s=2.0)
 
 
 def test_is_pess_property():
-    assert GssConfig(1.0, 1.0, 1.0, s=2.0, t=2.0).is_pess
-    assert not GssConfig(None, 1.0, 1.0, s=2.0, t=2.0).is_pess
-    assert not GssConfig(1.0, 1.0, 1.0, s=2.0, t=1.0).is_pess
+    assert GssConfig(1.0, 1.0, 1.0, s=2.0).is_pess
+    assert not GssConfig(None, 1.0, 1.0, s=2.0).is_pess
 
 
 def test_make_config_unknown_kind():
@@ -75,11 +69,11 @@ def test_make_config_positivity_checks():
 def test_make_config_half_shift_folding():
     cfg = make_config("ss", alpha=0.2)
     assert cfg.lambda1 == cfg.lambda2 == cfg.lambda3 == pytest.approx(0.1)
-    assert cfg.s == cfg.t == 0.5
+    assert cfg.s == 0.5
     cfg = make_config("rpgss", beta=2.0, gamma=4.0)
     assert cfg.lambda1 is None
     assert cfg.lambda2 == pytest.approx(2.0)
-    assert cfg.s == cfg.t == 1.0
+    assert cfg.s == 1.0
 
 
 # -- block solve vs explicit matrix ---------------------------------------
@@ -124,15 +118,14 @@ def test_callable_alias(small_system, rng):
 
 
 def test_build_rejects_indefinite_lambda3(small_system):
-    cfg = GssConfig(1.0, 1.0, np.diag(-np.ones(small_system.p)), s=1.0, t=1.0)
+    cfg = GssConfig(1.0, 1.0, np.diag(-np.ones(small_system.p)), s=1.0)
     with pytest.raises(NotPositiveDefinite, match="lambda3"):
         build(small_system, cfg)
 
 
 def test_build_rejects_singular_preconditioner(small_system):
-    # L1 + t A = 0 leaves P with n columns of rank at most m < n
-    cfg = GssConfig(SparseMatrix(-small_system.A.to_scipy()), 1.0, 1.0,
-                    s=1.0, t=1.0)
+    # L1 + s A = 0 leaves P with n columns of rank at most m < n
+    cfg = GssConfig(-small_system.A, 1.0, 1.0, s=1.0)
     with pytest.raises(Singular):
         build(small_system, cfg)
 
@@ -146,6 +139,23 @@ def test_case_presets_converge_at_l64():
         rep = gmres(sysv, d, precond=build(sysv, cfg).apply, tol=1e-6)
         assert rep.converged and rep.iterations <= 3
         assert true_residual(sysv, rep.solution, d) < 1e-6
+
+
+@pytest.mark.parametrize("kind", ["pess", "lpess"])
+def test_case_ii_matrix_matches_block_oracle(kind):
+    sysv = example1(3)
+    s = 12.0
+    cfg = case_preset("II", sysv, s=s)
+    if kind == "lpess":
+        cfg = make_config("lpess", lambda2=cfg.lambda2, lambda3=cfg.lambda3,
+                          s=s)
+    A, B, C = sysv.A.toarray(), sysv.B.toarray(), sysv.C.toarray()
+    n, m, p = A.shape[0], B.shape[0], C.shape[0]
+    L1 = A if kind == "pess" else np.zeros((n, n))
+    want = np.block([[L1 + s * A, s * B.T, np.zeros((n, p))],
+                     [-s * B, np.eye(m), -s * C.T],
+                     [np.zeros((p, n)), s * C, 0.001 * (C @ C.T)]])
+    assert np.array_equal(build(sysv, cfg).dense_matrix(), want)
 
 
 # -- splitting identity ----------------------------------------------------
@@ -170,9 +180,9 @@ def test_splitting_identity_random_systems():
 
 def test_bd_matches_explicit_blocks(small_system, rng):
     P = build_bd(small_system)
-    A = small_system.A.to_dense()
-    B = small_system.B.to_dense()
-    C = small_system.C.to_dense()
+    A = small_system.A.toarray()
+    B = small_system.B.toarray()
+    C = small_system.C.toarray()
     S = B @ np.linalg.solve(A, B.T)
     CSC = C @ np.linalg.solve(S, C.T)
     import scipy.linalg as sla

@@ -62,9 +62,9 @@ def test_unpreconditioned_spectrum(small_system):
 def test_scalar_extremes_oracle(small_system):
     cfg = make_config("pess", lambda1=2.0, lambda2=3.0, lambda3=0.5, s=1.0)
     ex = scalar_extremes(small_system, cfg)
-    A = small_system.A.to_dense()
-    B = small_system.B.to_dense()
-    C = small_system.C.to_dense()
+    A = small_system.A.toarray()
+    B = small_system.B.toarray()
+    C = small_system.C.toarray()
     xi = np.linalg.eigvalsh(A) / 2.0
     assert ex.xi_min == pytest.approx(xi[0], rel=1e-9)
     assert ex.xi_max == pytest.approx(xi[-1], rel=1e-9)

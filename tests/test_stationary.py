@@ -7,11 +7,10 @@ import pytest
 from saddlekit.precond import build, make_config
 from saddlekit.stationary import (Diverged, convergence_predicate,
                                   pess_iterate, scaled_spectrum,
-                                  spectral_radius_iteration_matrix,
                                   sufficient_s_lower_bound)
 from saddlekit.system import rhs_for_ones
 
-from conftest import random_system
+from conftest import iteration_matrix_radius, random_system
 
 
 def pess_cfg(s, lam3=0.001):
@@ -98,7 +97,7 @@ def test_predicate_matches_spectral_radius_on_random_systems():
         lam3 = 1e-4 if s < 0.5 else 0.001
         cfg = pess_cfg(s, lam3=lam3)
         pred = convergence_predicate(sysv, cfg)
-        rho = spectral_radius_iteration_matrix(sysv, build(sysv, cfg))
+        rho = iteration_matrix_radius(sysv, build(sysv, cfg))
         if abs(rho - 1.0) < 1e-8:
             continue  # borderline: both sides are numerically ambiguous
         assert pred.holds == (rho < 1.0), (seed, s, rho, pred.min_lhs)
@@ -123,6 +122,6 @@ def test_sufficient_bound_guarantees_convergence(small_system):
     assert 0.0 <= bound <= 0.5
     s = bound + 0.05
     pred = convergence_predicate(small_system, pess_cfg(s))
-    rho = spectral_radius_iteration_matrix(small_system,
-                                           build(small_system, pess_cfg(s)))
+    rho = iteration_matrix_radius(small_system,
+                                  build(small_system, pess_cfg(s)))
     assert pred.holds and rho < 1.0
