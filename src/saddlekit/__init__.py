@@ -1,9 +1,8 @@
 """saddlekit: shift-splitting preconditioned solvers for three-by-three
 block saddle point systems."""
 
-from .dense import (CholeskyFactor, ComplexSpectrum, ConvergenceFailure,
-                    NotPositiveDefinite, Singular, cholesky, cholesky_solve,
-                    cond2, eig_general, eig_symmetric, gen_eig_spd, lu_solve)
+from .dense import (CholeskyFactor, ConvergenceFailure, NotPositiveDefinite,
+                    Singular, cholesky, cholesky_solve, cond2, eig_general)
 from .gmres import SolveReport, gmres, true_residual
 from .mmio import (ReportRecord, read_matrix_market, write_matrix_market,
                    write_report)

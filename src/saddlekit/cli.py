@@ -175,23 +175,26 @@ def _make_precond(kind, sys_, args):
 
 
 def _solve_one(kind, sys_, problem_id, args):
+    """Build the preconditioner and solve for the right-hand side whose
+    solution is all ones; return the report, its record and the
+    preconditioner (None for "none")."""
     P, meta = _make_precond(kind, sys_, args)
     d = rhs_for_ones(sys_)
     apply_p = None if P is None else P.apply
     rep = gmres(sys_, d, precond=apply_p, tol=args.tol, maxit=args.maxit,
-                side=getattr(args, "side", "right"))
+                side=args.side)
     record = mmio.ReportRecord(
         process=kind, problem=problem_id, size=sys_.size,
         it=rep.iterations, res=rep.final_res, wall_seconds=rep.wall_seconds,
         params={**meta, "tol": args.tol, "maxit": args.maxit,
                 "side": rep.side},
         converged=rep.converged)
-    return rep, record
+    return rep, record, P
 
 
 def cmd_solve(args):
     sys_, pid = _make_system(args)
-    rep, record = _solve_one(args.precond, sys_, pid, args)
+    rep, record, _ = _solve_one(args.precond, sys_, pid, args)
     print(f"{record.process} {record.problem} size={record.size} "
           f"it={record.it} res={mmio.format_res(record.res)} "
           f"wall={record.wall_seconds:.3f}s")
@@ -209,7 +212,7 @@ def cmd_compare(args):
     records = []
     for k in kinds:
         try:
-            _, record = _solve_one(k, sys_, pid, args)
+            _, record, _ = _solve_one(k, sys_, pid, args)
         except Exception as exc:  # record the failing row, keep going
             record = mmio.ReportRecord(process=k, problem=pid, size=sys_.size,
                                        it=-1, res=float("nan"),
@@ -229,7 +232,7 @@ def cmd_spectrum(args):
     reports = []
     if args.precond == "none":
         spec = spectral.preconditioned_spectrum(sys_)
-        print(f"{pid}: {len(spec.eigenvalues)} eigenvalues of the "
+        print(f"{pid}: {len(spec)} eigenvalues of the "
               f"unpreconditioned operator")
     elif args.precond in ("pess", "lpess"):
         P, _ = _make_precond(args.precond, sys_, args)
@@ -251,7 +254,7 @@ def cmd_spectrum(args):
             reports.append(spectral.check_unit_disk(spec, P.config.s))
             print(f"unit-disk: {'holds' if reports[0].holds else 'VIOLATED'}")
         else:
-            print(f"{pid}: {len(spec.eigenvalues)} eigenvalues of the "
+            print(f"{pid}: {len(spec)} eigenvalues of the "
                   f"preconditioned operator")
     if args.eig_csv:
         spectral.write_eigenvalue_csv(spec, args.eig_csv)
@@ -268,9 +271,8 @@ def cmd_sweep_s(args):
     records = []
     for s in s_values:
         args.s = s
-        _, record = _solve_one(args.precond, sys_, pid, args)
+        _, record, P = _solve_one(args.precond, sys_, pid, args)
         if args.with_cond:
-            P, _ = _make_precond(args.precond, sys_, args)
             record.params["cond"] = spectral.condition_number(sys_, P)
         records.append(record)
         extra = (f" cond={record.params['cond']:.4e}"
@@ -283,7 +285,7 @@ def cmd_sweep_s(args):
 def cmd_sensitivity(args):
     sys_, pid = _make_system(args)
     levels = [float(t) for t in args.noise.split(",") if t.strip()]
-    base_rep, _ = _solve_one(args.precond, sys_, pid, args)
+    base_rep, _, _ = _solve_one(args.precond, sys_, pid, args)
     if not base_rep.converged:
         print("baseline solve did not converge")
         return EXIT_NOCONV
@@ -295,7 +297,8 @@ def cmd_sensitivity(args):
         d = rhs_for_ones(pert)
         P, meta = _make_precond(args.precond, pert, args)
         apply_p = None if P is None else P.apply
-        rep = gmres(pert, d, precond=apply_p, tol=args.tol, maxit=args.maxit)
+        rep = gmres(pert, d, precond=apply_p, tol=args.tol, maxit=args.maxit,
+                    side=args.side)
         err = float(np.linalg.norm(rep.solution - base_rep.solution))
         worst = max(worst, err)
         print(f"noise={np_pct:g}% error={err:.4e}")
@@ -333,7 +336,8 @@ def cmd_params(args):
                                       lambda3=lam3, s=est.s_est)
         P = precond.build(sys_, cfg)
         d = rhs_for_ones(sys_)
-        rep = gmres(sys_, d, precond=P.apply, tol=args.tol, maxit=args.maxit)
+        rep = gmres(sys_, d, precond=P.apply, tol=args.tol, maxit=args.maxit,
+                    side=args.side)
         print(f"{args.preset} it={rep.iterations} "
               f"res={mmio.format_res(rep.final_res)}")
         return EXIT_OK if rep.converged else EXIT_NOCONV

@@ -1,15 +1,14 @@
-"""Dense factorizations and eigensolvers for the desk-scale studies.
+"""Typed errors and the dense kernels that carry them.
 
-Dense matrices are plain float64 numpy arrays (row-major).  These routines
-wrap LAPACK through numpy/scipy behind the error contracts the rest of the
-package relies on: Cholesky doubles as the SPD test, LU solves are the
-brute-force oracle for preconditioner application, and the eigensolvers
-feed the spectral-bound machinery.
+Dense matrices are plain float64 numpy arrays (row-major).  Cholesky
+doubles as the symmetry and SPD test, ``eig_general`` turns a LAPACK
+eigensolver failure into ``ConvergenceFailure``, and ``cond2`` rejects a
+singular matrix.  Everything else calls numpy/scipy directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -27,13 +26,13 @@ class ConvergenceFailure(Exception):
     """Raised when an iterative eigensolve does not converge."""
 
 
-def _require_symmetric(S, tol=1e-12, what="matrix"):
+def _require_symmetric(S, tol=1e-12):
     S = np.ascontiguousarray(S, dtype=np.float64)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise ValueError(f"{what} must be square")
+        raise ValueError("matrix must be square")
     scale = max(np.abs(S).max(initial=0.0), 1e-300)
     if np.abs(S - S.T).max(initial=0.0) > tol * scale:
-        raise ValueError(f"{what} is not symmetric within {tol} relative")
+        raise ValueError(f"matrix is not symmetric within {tol} relative")
     return S
 
 
@@ -65,49 +64,9 @@ def cholesky_solve(F: CholeskyFactor, rhs):
     return sla.solve_triangular(F.lower.T, y, lower=False)
 
 
-def lu_solve(M, rhs):
-    M = np.asarray(M, dtype=np.float64)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("matrix must be square")
-    rhs = np.asarray(rhs, dtype=np.float64)
-    lu, piv = sla.lu_factor(M)
-    if np.any(np.diag(lu) == 0.0):
-        raise Singular("zero pivot in LU factorization")
-    return sla.lu_solve((lu, piv), rhs)
-
-
-def eig_symmetric(S):
-    """Eigenvalues of a symmetric matrix, sorted ascending."""
-    S = _require_symmetric(S)
-    return np.linalg.eigvalsh(S)
-
-
-@dataclass(frozen=True)
-class ComplexSpectrum:
-    """Unordered eigenvalues of a real matrix with a real/non-real split."""
-
-    eigenvalues: np.ndarray
-    classification_tol: float = 1e-8
-    metadata: dict = field(default_factory=dict)
-
-    def real_mask(self):
-        lam = self.eigenvalues
-        return np.abs(lam.imag) <= self.classification_tol * np.maximum(
-            1.0, np.abs(lam.real)
-        )
-
-    def real_eigenvalues(self):
-        return self.eigenvalues[self.real_mask()].real
-
-    def nonreal_eigenvalues(self):
-        return self.eigenvalues[~self.real_mask()]
-
-    def __len__(self):
-        return self.eigenvalues.shape[0]
-
-
-def eig_general(M, classification_tol=1e-8) -> ComplexSpectrum:
-    """Full spectrum of a general real square matrix (Hessenberg + QR)."""
+def eig_general(M) -> np.ndarray:
+    """Unordered complex spectrum of a general real square matrix
+    (Hessenberg + QR)."""
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("matrix must be square")
@@ -115,21 +74,7 @@ def eig_general(M, classification_tol=1e-8) -> ComplexSpectrum:
         lam = sla.eigvals(M)
     except sla.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise ConvergenceFailure(str(exc)) from exc
-    return ComplexSpectrum(np.asarray(lam, dtype=np.complex128),
-                           classification_tol=classification_tol)
-
-
-def gen_eig_spd(S, T):
-    """Eigenvalues of T^{-1} S for symmetric S and SPD T, sorted ascending.
-
-    Reduced through the Cholesky factor of T to a symmetric standard problem.
-    """
-    S = _require_symmetric(S, what="left matrix")
-    T = np.asarray(T, dtype=np.float64)
-    L = cholesky(T).lower
-    W = sla.solve_triangular(L, S, lower=True)
-    W = sla.solve_triangular(L, W.T, lower=True)
-    return np.linalg.eigvalsh(0.5 * (W + W.T))
+    return np.asarray(lam, dtype=np.complex128)
 
 
 def cond2(M) -> float:

@@ -26,7 +26,7 @@ from scipy.sparse.linalg import splu
 
 from .dense import (CholeskyFactor, NotPositiveDefinite, Singular, cholesky,
                     cholesky_solve)
-from .system import BlockVector, SaddlePointSystem
+from .system import SaddlePointSystem
 
 KINDS = ("pess", "lpess", "ss", "rss", "egss", "rpgss")
 
@@ -187,19 +187,12 @@ def sigma_matrix(sys: SaddlePointSystem, cfg: GssConfig) -> sp.csc_matrix:
 @dataclass(frozen=True)
 class GssPreconditioner:
     config: GssConfig
-    n: int
-    m: int
-    p: int
     matrix: sp.csc_matrix
     lu: object  # scipy.sparse.linalg.SuperLU of ``matrix``
 
     def apply(self, r):
-        """Solve P w = r. Accepts a flat array (optionally multi-column)
-        or a BlockVector."""
-        as_block = isinstance(r, BlockVector)
-        vec = r.to_array() if as_block else np.asarray(r, dtype=np.float64)
-        out = self.lu.solve(vec)
-        return BlockVector.from_array(out, self.n, self.m, self.p) if as_block else out
+        """Solve P w = r for a flat array r (optionally multi-column)."""
+        return self.lu.solve(np.asarray(r, dtype=np.float64))
 
     __call__ = apply
 
@@ -216,7 +209,7 @@ def build(sys: SaddlePointSystem, cfg: GssConfig) -> GssPreconditioner:
         lu = splu(P)
     except RuntimeError as exc:
         raise Singular(f"preconditioner is singular: {exc}") from exc
-    return GssPreconditioner(config=cfg, n=sys.n, m=sys.m, p=sys.p, matrix=P, lu=lu)
+    return GssPreconditioner(config=cfg, matrix=P, lu=lu)
 
 
 # -- exact block diagonal baseline -------------------------------------
@@ -224,23 +217,21 @@ def build(sys: SaddlePointSystem, cfg: GssConfig) -> GssPreconditioner:
 
 @dataclass(frozen=True)
 class BdPreconditioner:
-    n: int
-    m: int
-    p: int
     a_factor: CholeskyFactor
     s_factor: CholeskyFactor
     css_factor: CholeskyFactor
 
     def apply(self, r):
-        as_block = isinstance(r, BlockVector)
-        vec = r.to_array() if as_block else np.asarray(r, dtype=np.float64)
-        n, m = self.n, self.m
-        w = np.concatenate([
-            cholesky_solve(self.a_factor, vec[:n]),
-            cholesky_solve(self.s_factor, vec[n : n + m]),
-            cholesky_solve(self.css_factor, vec[n + m :]),
+        """Solve P w = r blockwise for a flat array r (optionally
+        multi-column); the block sizes are the factor orders."""
+        r = np.asarray(r, dtype=np.float64)
+        n = self.a_factor.order
+        nm = n + self.s_factor.order
+        return np.concatenate([
+            cholesky_solve(self.a_factor, r[:n]),
+            cholesky_solve(self.s_factor, r[n:nm]),
+            cholesky_solve(self.css_factor, r[nm:]),
         ])
-        return BlockVector.from_array(w, n, m, self.p) if as_block else w
 
     __call__ = apply
 
@@ -257,7 +248,7 @@ def build_bd(sys: SaddlePointSystem) -> BdPreconditioner:
     CSC = Cd @ cholesky_solve(s_factor, Cd.T)
     CSC = 0.5 * (CSC + CSC.T)
     css_factor = cholesky(CSC)
-    return BdPreconditioner(sys.n, sys.m, sys.p, a_factor, s_factor, css_factor)
+    return BdPreconditioner(a_factor, s_factor, css_factor)
 
 
 # -- splitting identity -------------------------------------------------

@@ -25,9 +25,9 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 
-from .dense import (ComplexSpectrum, NotPositiveDefinite, Singular, cholesky,
-                    cholesky_solve, cond2, eig_general, gen_eig_spd)
+from .dense import cholesky, cholesky_solve, cond2, eig_general
 from .precond import GssConfig, operand_dense
 from .system import SaddlePointSystem, to_dense
 
@@ -64,13 +64,25 @@ class BoundReport:
     metadata: dict = field(default_factory=dict)
 
 
-def preconditioned_spectrum(sys: SaddlePointSystem, precond=None) -> ComplexSpectrum:
-    """Eigenvalues of P^{-1} A, densified column by column (or of A itself
-    when no preconditioner is given)."""
+def preconditioned_spectrum(sys: SaddlePointSystem, precond=None) -> np.ndarray:
+    """Unordered complex eigenvalues of P^{-1} A, densified column by column
+    (or of A itself when no preconditioner is given).  ``precond`` is a
+    callable solving P W = R for a multi-column R."""
     M = to_dense(sys)
     if precond is not None:
-        M = precond.apply(M) if hasattr(precond, "apply") else precond(M)
+        M = precond(M)
     return eig_general(M)
+
+
+def _pencil_extremes(S, T):
+    """Smallest and largest eigenvalue of T^{-1} S for symmetric S and an
+    SPD T that the caller has already passed through ``cholesky``."""
+    w = sla.eigh(S, T, eigvals_only=True)
+    return float(w[0]), float(w[-1])
+
+
+def _sym(M):
+    return 0.5 * (M + M.T)
 
 
 def scalar_extremes(sys: SaddlePointSystem, cfg: GssConfig) -> ScalarExtremes:
@@ -83,30 +95,23 @@ def scalar_extremes(sys: SaddlePointSystem, cfg: GssConfig) -> ScalarExtremes:
     lam2 = operand_dense(cfg.lambda2, sys.m)
     lam3 = operand_dense(cfg.lambda3, sys.p)
 
+    # every shift passes cholesky (the symmetry and SPD test) before it
+    # meets eigh, which reads one triangle and raises no typed error
+    lam2_f, lam3_f = cholesky(lam2), cholesky(lam3)
     xi_max = xi_min = eta_max = eta_min = None
     if cfg.lambda1 is not None:
         lam1 = operand_dense(cfg.lambda1, sys.n)
-        xi = gen_eig_spd(Ad, lam1)
-        xi_min, xi_max = float(xi[0]), float(xi[-1])
         lam1_f = cholesky(lam1)
-        BL1Bt = Bd @ cholesky_solve(lam1_f, Bd.T)
-        eta = gen_eig_spd(0.5 * (BL1Bt + BL1Bt.T), lam2)
-        eta_min, eta_max = float(eta[0]), float(eta[-1])
+        xi_min, xi_max = _pencil_extremes(Ad, lam1)
+        eta_min, eta_max = _pencil_extremes(
+            _sym(Bd @ cholesky_solve(lam1_f, Bd.T)), lam2)
 
-    lam3_f = cholesky(lam3)
-    CtL3C = Cd.T @ cholesky_solve(lam3_f, Cd)
-    theta = gen_eig_spd(0.5 * (CtL3C + CtL3C.T), lam2)
-    theta_max = float(theta[-1])
-
-    a_f = cholesky(Ad)
-    Q = Bd @ cholesky_solve(a_f, Bd.T)
-    vth = gen_eig_spd(0.5 * (Q + Q.T), lam2)
-    vartheta_min, vartheta_max = float(vth[0]), float(vth[-1])
-
-    lam2_f = cholesky(lam2)
-    CL2Ct = Cd @ cholesky_solve(lam2_f, Cd.T)
-    tt = gen_eig_spd(0.5 * (CL2Ct + CL2Ct.T), lam3)
-    theta_tilde_min, theta_tilde_max = float(tt[0]), float(tt[-1])
+    theta_max = _pencil_extremes(
+        _sym(Cd.T @ cholesky_solve(lam3_f, Cd)), lam2)[1]
+    vartheta_min, vartheta_max = _pencil_extremes(
+        _sym(Bd @ cholesky_solve(cholesky(Ad), Bd.T)), lam2)
+    theta_tilde_min, theta_tilde_max = _pencil_extremes(
+        _sym(Cd @ cholesky_solve(lam2_f, Cd.T)), lam3)
 
     return ScalarExtremes(xi_max, xi_min, eta_max, eta_min, theta_max,
                           vartheta_max, vartheta_min,
@@ -126,7 +131,7 @@ def require_extreme(extremes: ScalarExtremes, name: str) -> float:
 def check_unit_disk(spectrum, s: float) -> BoundReport:
     """|lambda - 1| < 1: the preconditioned spectrum sits in the open unit
     disk centered at (1, 0) whenever s >= 1/2."""
-    lam = _eigs(spectrum)
+    lam = np.asarray(spectrum, dtype=np.complex128)
     dist = np.abs(lam - 1.0)
     bad = dist >= 1.0 + 1e-9
     violations = tuple((complex(l), float(d - 1.0)) for l, d in
@@ -143,7 +148,7 @@ def pess_real_interval(extremes: ScalarExtremes, s: float):
 
 def check_real_interval(spectrum, extremes: ScalarExtremes, s: float) -> BoundReport:
     lo, hi = pess_real_interval(extremes, s)
-    lam = _eigs(spectrum)
+    lam = np.asarray(spectrum, dtype=np.complex128)
     real = lam[np.abs(lam.imag) <= CLASSIFY_TOL].real
     violations = []
     for v in real:
@@ -185,7 +190,7 @@ def check_pess_nonreal(spectrum, extremes: ScalarExtremes, s: float) -> BoundRep
     """Each non-real eigenvalue must satisfy the modulus window (part 1) or
     the mu-plane box (part 2)."""
     b = pess_nonreal_bounds(extremes, s)
-    lam = _eigs(spectrum)
+    lam = np.asarray(spectrum, dtype=np.complex128)
     nonreal = lam[np.abs(lam.imag) > CLASSIFY_TOL]
     branch = []
     violations = []
@@ -237,7 +242,7 @@ def lpess_bounds(spectrum, extremes: ScalarExtremes, s: float, n: int,
     (b) remaining real eigenvalues in the stated interval, (c) remaining
     non-real eigenvalues in the modulus window and the annulus around 1/s."""
     b = lpess_bound_values(extremes, s)
-    lam = _eigs(spectrum)
+    lam = np.asarray(spectrum, dtype=np.complex128)
     at_inv_s = np.abs(lam - 1.0 / s) <= cluster_tol
     multiplicity = int(np.count_nonzero(at_inv_s))
     rest = lam[~at_inv_s]
@@ -274,17 +279,11 @@ def condition_number(sys: SaddlePointSystem, precond=None) -> float:
     """Two-norm condition number of the densified (preconditioned) operator."""
     M = to_dense(sys)
     if precond is not None:
-        M = precond.apply(M) if hasattr(precond, "apply") else precond(M)
+        M = precond(M)
     return cond2(M)
 
 
 # -- serialization -------------------------------------------------------
-
-
-def _eigs(spectrum):
-    if isinstance(spectrum, ComplexSpectrum):
-        return spectrum.eigenvalues
-    return np.asarray(spectrum, dtype=np.complex128)
 
 
 def report_to_dict(report: BoundReport) -> dict:
@@ -315,7 +314,7 @@ def write_spectral_report(reports, path):
 
 def write_eigenvalue_csv(spectrum, path):
     """Scatter data: re, im, classification (real | nonreal)."""
-    lam = _eigs(spectrum)
+    lam = np.asarray(spectrum, dtype=np.complex128)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["re", "im", "classification"])

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .dense import ConvergenceFailure, cholesky, eig_general, eig_symmetric
+from .dense import ConvergenceFailure, cholesky, eig_general
 from .precond import GssConfig, build, sigma_matrix
 from .system import SaddlePointSystem, operator_apply, to_dense
 
@@ -89,7 +89,7 @@ def _scaled_operator(sys, cfg):
 
 def scaled_spectrum(sys: SaddlePointSystem, cfg: GssConfig) -> np.ndarray:
     """eig(Sigma^{-1/2} A Sigma^{-1/2})."""
-    return eig_general(_scaled_operator(sys, cfg)).eigenvalues
+    return eig_general(_scaled_operator(sys, cfg))
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,6 @@ def sufficient_s_lower_bound(sys: SaddlePointSystem, cfg: GssConfig) -> float:
     """max{ (1/2)(1 - lmin(Shat + Shat^T) / rho(Shat)^2), 0 } with
     Shat = Sigma^{-1/2} A Sigma^{-1/2}; any s above this converges."""
     M = _scaled_operator(sys, cfg)
-    sym = M + M.T
-    lmin = float(eig_symmetric(0.5 * (sym + sym.T))[0])
-    rho = float(np.max(np.abs(eig_general(M).eigenvalues)))
+    lmin = float(np.linalg.eigvalsh(M + M.T)[0])
+    rho = float(np.max(np.abs(eig_general(M))))
     return max(0.5 * (1.0 - lmin / rho**2), 0.0)

@@ -115,9 +115,7 @@ def assemble(A, B, C) -> SaddlePointSystem:
 
 
 def operator_apply(sys: SaddlePointSystem, u):
-    """Apply the block operator; accepts a BlockVector or a flat array."""
-    if isinstance(u, BlockVector):
-        return sys.split(sys.matrix @ u.to_array())
+    """Apply the block operator to a flat array (optionally multi-column)."""
     return sys.matrix @ np.asarray(u, dtype=np.float64)
 
 

@@ -22,7 +22,7 @@ def random_system(rng, n=12, m=8, p=5, spd_shift=0.5):
 def iteration_matrix_radius(sys, precond):
     """rho(I - P^{-1} A) by densifying the preconditioned operator."""
     PA = precond.apply(to_dense(sys))
-    return float(np.max(np.abs(eig_general(np.eye(sys.size) - PA).eigenvalues)))
+    return float(np.max(np.abs(eig_general(np.eye(sys.size) - PA))))
 
 
 def random_spd(rng, k, shift=1.0):

@@ -8,8 +8,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from saddlekit import precond
 from saddlekit.cli import EXIT_NOCONV, EXIT_OK, EXIT_USAGE, main
+from saddlekit.gmres import gmres
 from saddlekit.mmio import write_matrix_market
+from saddlekit.problems import NoiseSpec, example1, perturb
+from saddlekit.system import rhs_for_ones
 
 GEN = ["--gen-l", "3"]
 
@@ -26,7 +30,7 @@ def test_solve_pess_with_report(tmp_path, capsys):
     rc = main(["solve", *GEN, "--precond", "pess", "--case", "I",
                "--s", "12", "--report", str(report)])
     assert rc == EXIT_OK
-    rows = list(csv.reader(report.open()))
+    rows = list(csv.reader(report.read_text().splitlines()))
     assert rows[1][0] == "pess"
     assert int(rows[1][3]) < 20  # preconditioned count is small
 
@@ -56,7 +60,7 @@ def test_compare_flow(tmp_path, capsys):
     rc = main(["compare", *GEN, "--kinds", "ss,rss,pess,bd",
                "--report", str(report)])
     assert rc == EXIT_OK
-    rows = list(csv.reader(report.open()))
+    rows = list(csv.reader(report.read_text().splitlines()))
     assert [r[0] for r in rows[1:]] == ["ss", "rss", "pess", "bd"]
 
 
@@ -102,8 +106,24 @@ def test_sweep_s_flow(tmp_path, capsys):
     assert rc == EXIT_OK
     out = capsys.readouterr().out
     assert "s=5" in out and "cond=" in out
-    rows = list(csv.reader(report.open()))
+    rows = list(csv.reader(report.read_text().splitlines()))
     assert len(rows) == 3
+
+
+def test_sweep_s_builds_one_preconditioner_per_s(tmp_path, monkeypatch):
+    built = []
+    real_build = precond.build
+
+    def counting_build(sys_, cfg):
+        built.append(cfg.s)
+        return real_build(sys_, cfg)
+
+    monkeypatch.setattr(precond, "build", counting_build)
+    rc = main(["sweep-s", *GEN, "--precond", "pess", "--case", "I",
+               "--s-values", "5,10", "--with-cond",
+               "--report", str(tmp_path / "sweep.csv")])
+    assert rc == EXIT_OK
+    assert built == [5.0, 10.0]
 
 
 def test_sweep_s_empty_range(tmp_path):
@@ -120,8 +140,24 @@ def test_sensitivity_flow(tmp_path, capsys):
     assert rc == EXIT_OK
     out = capsys.readouterr().out
     assert "noise=5%" in out and "error=" in out
-    rows = list(csv.reader(report.open()))
+    rows = list(csv.reader(report.read_text().splitlines()))
     assert len(rows) == 3
+
+
+def test_sensitivity_honours_side(tmp_path):
+    # ss with alpha 0.01 needs a different number of steps on each side
+    pert = perturb(example1(3), NoiseSpec(percentage=5.0, seed=0))
+    P = precond.build(pert, precond.make_config("ss", alpha=0.01))
+    its = {}
+    for side in ("left", "right"):
+        report = tmp_path / f"{side}.csv"
+        rc = main(["sensitivity", *GEN, "--precond", "ss", "--alpha", "0.01",
+                   "--noise", "5", "--side", side, "--report", str(report)])
+        assert rc == EXIT_OK
+        its[side] = int(list(csv.reader(report.read_text().splitlines()))[1][3])
+        assert its[side] == gmres(pert, rhs_for_ones(pert), precond=P,
+                                  side=side).iterations
+    assert its["left"] != its["right"]
 
 
 def test_params_flow(capsys):
@@ -135,6 +171,15 @@ def test_params_preset_solve(capsys):
     rc = main(["params", *GEN, "--preset", "lpess-II", "--tol", "1e-6"])
     assert rc in (EXIT_OK, EXIT_NOCONV)
     assert "lpess-II it=" in capsys.readouterr().out
+
+
+def test_params_preset_honours_side(capsys):
+    its = {}
+    for side in ("left", "right"):
+        main(["params", *GEN, "--preset", "lpess-II", "--side", side])
+        line = capsys.readouterr().out.splitlines()[-1]
+        its[side] = int(line.split("it=")[1].split()[0])
+    assert its["left"] != its["right"]
 
 
 def test_usage_errors(tmp_path):
