@@ -1,9 +1,11 @@
-"""Typed errors and the dense kernels that carry them.
+"""Typed errors and the kernels that carry them.
 
-Dense matrices are plain float64 numpy arrays (row-major).  Cholesky
-doubles as the symmetry and SPD test, ``eig_general`` turns a LAPACK
-eigensolver failure into ``ConvergenceFailure``, and ``cond2`` rejects a
-singular matrix.  Everything else calls numpy/scipy directly.
+``require_spd`` is the one symmetry and SPD test of an operand: a sparse
+L D L^T sign test that returns the factor.  ``cholesky`` is the dense
+factor of the exact block-diagonal baseline and the scaled operator,
+``eig_general`` turns a LAPACK eigensolver failure into
+``ConvergenceFailure``, and ``cond2`` rejects a singular matrix.
+Everything else calls numpy/scipy directly.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 
 class NotPositiveDefinite(Exception):
@@ -24,6 +28,28 @@ class Singular(Exception):
 
 class ConvergenceFailure(Exception):
     """Raised when an iterative eigensolve does not converge."""
+
+
+def require_spd(M, what):
+    """Return the SuperLU factor of M after checking that it is symmetric
+    (ValueError) and positive definite (NotPositiveDefinite).
+
+    M (dense or sparse) is factored as L D L^T by symmetric-mode SuperLU:
+    same row and column order, no off-diagonal pivoting.  It is SPD iff
+    that order held and every pivot of D is positive.
+    """
+    M = sp.csc_matrix(M, dtype=np.float64)
+    scale = max(abs(M).max(), 1e-300)
+    if abs(M - M.T).max() > 1e-12 * scale:
+        raise ValueError(f"{what} is not symmetric within 1e-12 relative")
+    try:
+        lu = splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options=dict(SymmetricMode=True))
+    except RuntimeError as exc:
+        raise NotPositiveDefinite(f"{what} is singular: {exc}") from exc
+    if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0)):
+        raise NotPositiveDefinite(f"{what} is not positive definite")
+    return lu
 
 
 def _require_symmetric(S, tol=1e-12):

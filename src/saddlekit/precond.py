@@ -24,14 +24,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.linalg import splu
 
-from .dense import (CholeskyFactor, NotPositiveDefinite, Singular, cholesky,
-                    cholesky_solve)
+from .dense import (CholeskyFactor, Singular, cholesky, cholesky_solve,
+                    require_spd)
 from .system import SaddlePointSystem
 
 KINDS = ("pess", "lpess", "ss", "rss", "egss", "rpgss")
 
 
-# -- SPD operand handling ---------------------------------------------
+# -- shift operands ---------------------------------------------------
 # A shift may be given as None (absent), a positive scalar (multiple of the
 # identity), a 1-d array (diagonal), any scipy sparse matrix, or a dense
 # 2-d array.
@@ -54,35 +54,8 @@ def operand_sparse(op, dim):
     return sp.csc_matrix(op, dtype=np.float64)
 
 
-def operand_dense(op, dim):
-    return operand_sparse(op, dim).toarray()
-
-
 def _is_diagonal(op):
     return np.isscalar(op) or np.ndim(op) == 1
-
-
-def _require_spd(op, dim, what):
-    """Raise NotPositiveDefinite unless the shift operand is SPD.
-
-    Scalar and diagonal operands were checked positive by GssConfig.  A
-    matrix operand is factored as L D L^T by symmetric-mode SuperLU (same
-    row and column order, no off-diagonal pivoting); it is SPD iff that
-    order held and every pivot of D is positive.
-    """
-    if _is_diagonal(op):
-        return
-    M = operand_sparse(op, dim)
-    scale = max(abs(M).max(), 1e-300)
-    if abs(M - M.T).max() > 1e-12 * scale:
-        raise ValueError(f"{what} is not symmetric within 1e-12 relative")
-    try:
-        lu = splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                  options=dict(SymmetricMode=True))
-    except RuntimeError as exc:
-        raise NotPositiveDefinite(f"{what} is singular: {exc}") from exc
-    if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0)):
-        raise NotPositiveDefinite(f"{what} is not positive definite")
 
 
 @dataclass(frozen=True)
@@ -97,7 +70,6 @@ class GssConfig:
     lambda2: object
     lambda3: object
     s: float
-    kind: str = "pess"
 
     def __post_init__(self):
         if self.s <= 0:
@@ -129,20 +101,20 @@ def make_config(kind, sys: SaddlePointSystem = None, **params) -> GssConfig:
         raise ValueError(f"unknown preconditioner kind {kind!r}")
     if kind == "pess":
         return GssConfig(params["lambda1"], params["lambda2"], params["lambda3"],
-                         s=float(params["s"]), kind=kind)
+                         s=float(params["s"]))
     if kind == "lpess":
         return GssConfig(None, params["lambda2"], params["lambda3"],
-                         s=float(params["s"]), kind=kind)
+                         s=float(params["s"]))
     if kind == "ss":
         a = float(params["alpha"])
         if a <= 0:
             raise ValueError("alpha must be positive")
-        return GssConfig(a / 2, a / 2, a / 2, s=0.5, kind=kind)
+        return GssConfig(a / 2, a / 2, a / 2, s=0.5)
     if kind == "rss":
         a = float(params["alpha"])
         if a <= 0:
             raise ValueError("alpha must be positive")
-        return GssConfig(None, a / 2, a / 2, s=0.5, kind=kind)
+        return GssConfig(None, a / 2, a / 2, s=0.5)
     if kind == "egss":
         a, b, g = (float(params[k]) for k in ("alpha", "beta", "gamma"))
         if min(a, b, g) <= 0:
@@ -151,14 +123,14 @@ def make_config(kind, sys: SaddlePointSystem = None, **params) -> GssConfig:
         Q = params.get("Q", 1.0)
         W = params.get("W", 1.0)
         return GssConfig(_scaled(a / 2, P), _scaled(b / 2, Q), _scaled(g / 2, W),
-                         s=0.5, kind=kind)
+                         s=0.5)
     # rpgss
     b, g = float(params["beta"]), float(params["gamma"])
     if min(b, g) <= 0:
         raise ValueError("beta and gamma must be positive")
     Q = params.get("Q", 1.0)
     W = params.get("W", 1.0)
-    return GssConfig(None, _scaled(b, Q), _scaled(g, W), s=1.0, kind=kind)
+    return GssConfig(None, _scaled(b, Q), _scaled(g, W), s=1.0)
 
 
 def _scaled(coef, op):
@@ -196,14 +168,10 @@ class GssPreconditioner:
 
     __call__ = apply
 
-    def dense_matrix(self):
-        """The explicit preconditioner matrix (oracle for tests)."""
-        return self.matrix.toarray()
-
 
 def build(sys: SaddlePointSystem, cfg: GssConfig) -> GssPreconditioner:
     """Assemble the shift-splitting preconditioner and factor it once."""
-    _require_spd(cfg.lambda3, sys.p, "lambda3")
+    require_spd(operand_sparse(cfg.lambda3, sys.p), "lambda3")
     P = gss_matrix(sys, cfg)
     try:
         lu = splu(P)
@@ -252,11 +220,6 @@ def build_bd(sys: SaddlePointSystem) -> BdPreconditioner:
 
 
 # -- splitting identity -------------------------------------------------
-
-
-def gss_dense_matrix(sys: SaddlePointSystem, cfg: GssConfig):
-    """Densified P for a config without building factorizations."""
-    return gss_matrix(sys, cfg).toarray()
 
 
 def splitting_residual(sys: SaddlePointSystem, cfg: GssConfig) -> float:

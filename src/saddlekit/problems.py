@@ -63,9 +63,8 @@ def case_preset(case: str, sys: SaddlePointSystem, s: float,
         raise ValueError("case must be 'I' or 'II'")
     coef = 0.001 if lambda3_coef is None else float(lambda3_coef)
     if case == "I":
-        return GssConfig(1.0, 1.0, coef, s=float(s), kind="pess")
-    return GssConfig(sys.A, 1.0, coef * (sys.C @ sys.C.T), s=float(s),
-                     kind="pess")
+        return GssConfig(1.0, 1.0, coef, s=float(s))
+    return GssConfig(sys.A, 1.0, coef * (sys.C @ sys.C.T), s=float(s))
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .dense import cholesky, cholesky_solve, cond2, eig_general
-from .precond import GssConfig, operand_dense
+from .dense import cond2, eig_general, require_spd
+from .precond import GssConfig, operand_sparse
 from .system import SaddlePointSystem, to_dense
 
 THETA_TILDE_CONVENTION = "lambda3_inv_C_lambda2_inv_Ct"
@@ -76,7 +76,7 @@ def preconditioned_spectrum(sys: SaddlePointSystem, precond=None) -> np.ndarray:
 
 def _pencil_extremes(S, T):
     """Smallest and largest eigenvalue of T^{-1} S for symmetric S and an
-    SPD T that the caller has already passed through ``cholesky``."""
+    SPD T that the caller has already passed through ``require_spd``."""
     w = sla.eigh(S, T, eigvals_only=True)
     return float(w[0]), float(w[-1])
 
@@ -89,29 +89,29 @@ def scalar_extremes(sys: SaddlePointSystem, cfg: GssConfig) -> ScalarExtremes:
     """Generalized-eigenvalue extremes of the symmetric pairs behind the
     localization bounds.  xi and eta need an SPD L1; the vartheta / theta~
     pair covers the dropped-shift scheme."""
-    Ad = sys.A.toarray()
     Bd = sys.B.toarray()
     Cd = sys.C.toarray()
-    lam2 = operand_dense(cfg.lambda2, sys.m)
-    lam3 = operand_dense(cfg.lambda3, sys.p)
 
-    # every shift passes cholesky (the symmetry and SPD test) before it
+    # every shift passes require_spd (the symmetry and SPD test) before it
     # meets eigh, which reads one triangle and raises no typed error
-    lam2_f, lam3_f = cholesky(lam2), cholesky(lam3)
+    lam2 = operand_sparse(cfg.lambda2, sys.m)
+    lam3 = operand_sparse(cfg.lambda3, sys.p)
+    lam2_lu = require_spd(lam2, "lambda2")
+    lam3_lu = require_spd(lam3, "lambda3")
+    lam2d = lam2.toarray()
     xi_max = xi_min = eta_max = eta_min = None
     if cfg.lambda1 is not None:
-        lam1 = operand_dense(cfg.lambda1, sys.n)
-        lam1_f = cholesky(lam1)
-        xi_min, xi_max = _pencil_extremes(Ad, lam1)
-        eta_min, eta_max = _pencil_extremes(
-            _sym(Bd @ cholesky_solve(lam1_f, Bd.T)), lam2)
+        lam1 = operand_sparse(cfg.lambda1, sys.n)
+        lam1_lu = require_spd(lam1, "lambda1")
+        xi_min, xi_max = _pencil_extremes(sys.A.toarray(), lam1.toarray())
+        eta_min, eta_max = _pencil_extremes(_sym(Bd @ lam1_lu.solve(Bd.T)),
+                                            lam2d)
 
-    theta_max = _pencil_extremes(
-        _sym(Cd.T @ cholesky_solve(lam3_f, Cd)), lam2)[1]
+    theta_max = _pencil_extremes(_sym(Cd.T @ lam3_lu.solve(Cd)), lam2d)[1]
     vartheta_min, vartheta_max = _pencil_extremes(
-        _sym(Bd @ cholesky_solve(cholesky(Ad), Bd.T)), lam2)
+        _sym(Bd @ require_spd(sys.A, "A").solve(Bd.T)), lam2d)
     theta_tilde_min, theta_tilde_max = _pencil_extremes(
-        _sym(Cd @ cholesky_solve(lam2_f, Cd.T)), lam3)
+        _sym(Cd @ lam2_lu.solve(Cd.T)), lam3.toarray())
 
     return ScalarExtremes(xi_max, xi_min, eta_max, eta_min, theta_max,
                           vartheta_max, vartheta_min,

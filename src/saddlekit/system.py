@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .dense import NotPositiveDefinite, cholesky
+from .dense import NotPositiveDefinite, require_spd
 
 DENSIFY_LIMIT = 5000
 
@@ -143,21 +143,17 @@ class ValidationReport:
         return self.spd_ok and self.b_full_rank and self.c_full_rank
 
 
-def validate(sys: SaddlePointSystem, level="shape") -> ValidationReport:
-    """Check SPD of A and full row rank of B, C (level "full") or shapes only."""
-    if level not in ("shape", "full"):
-        raise ValueError("level must be 'shape' or 'full'")
-    if level == "shape":
-        return ValidationReport(True, True, True, ("shape-level checks only",))
+def validate(sys: SaddlePointSystem) -> ValidationReport:
+    """Check SPD of A and full row rank of B and C."""
     if sys.size > DENSIFY_LIMIT:
         raise ValueError("full validation is limited to desk-scale systems")
     msgs = []
     try:
-        cholesky(sys.A.toarray())
+        require_spd(sys.A, "A")
         spd_ok = True
     except NotPositiveDefinite as exc:
         spd_ok = False
-        msgs.append(f"A failed Cholesky: {exc}")
+        msgs.append(str(exc))
 
     def full_row_rank(M):
         # numerical rank from singular values, tolerance max(shape)*eps*sigma_max

@@ -16,8 +16,8 @@ import pytest
 
 from saddlekit.gmres import gmres
 from saddlekit.params import estimate_params, phi, phi_minimizer
-from saddlekit.precond import (KINDS, build, build_bd, gss_dense_matrix,
-                               make_config, splitting_residual)
+from saddlekit.precond import (KINDS, build, build_bd, make_config,
+                               splitting_residual)
 from saddlekit.problems import NoiseSpec, case_preset, example1, perturb
 from saddlekit.spectral import (check_pess_nonreal, check_real_interval,
                                 check_unit_disk, condition_number,
@@ -279,7 +279,7 @@ def test_criterion6_algorithm1_oracle():
             P = build(sysv, make_config(kind, **cfg))
             R = rng.standard_normal((sysv.size, 50))
             W = P.apply(R)
-            ref = np.linalg.solve(P.dense_matrix(), R)
+            ref = np.linalg.solve(P.matrix.toarray(), R)
             rel = np.linalg.norm(W - ref) / np.linalg.norm(ref)
             if rel >= 1e-10:
                 failures.append(f"size {n+m+p} {kind}: relative error {rel:.2e}")
@@ -372,13 +372,13 @@ def test_criterion6_phi_quadratic():
     failures = []
     sysv = random_system(np.random.default_rng(6000))
     cfg = make_config("pess", lambda1=1.0, lambda2=1.0, lambda3=0.001, s=1.0)
-    from saddlekit.precond import operand_dense
+    from saddlekit.precond import operand_sparse
     from saddlekit.system import to_dense
     n, m = sysv.n, sysv.m
     sigma = np.zeros((sysv.size, sysv.size))
-    sigma[:n, :n] = operand_dense(cfg.lambda1, n)
-    sigma[n:n + m, n:n + m] = operand_dense(cfg.lambda2, m)
-    sigma[n + m:, n + m:] = operand_dense(cfg.lambda3, sysv.p)
+    sigma[:n, :n] = operand_sparse(cfg.lambda1, n).toarray()
+    sigma[n:n + m, n:n + m] = operand_sparse(cfg.lambda2, m).toarray()
+    sigma[n + m:, n + m:] = operand_sparse(cfg.lambda3, sysv.p).toarray()
     Amat = to_dense(sysv)
     grid = np.linspace(-1.0, 3.0, 17)
     vals = []

@@ -64,6 +64,12 @@ def test_compare_flow(tmp_path, capsys):
     assert [r[0] for r in rows[1:]] == ["ss", "rss", "pess", "bd"]
 
 
+def test_compare_nonconvergence_exit_code(tmp_path):
+    rc = main(["compare", *GEN, "--kinds", "none,ss", "--maxit", "1",
+               "--report", str(tmp_path / "cmp.csv")])
+    assert rc == EXIT_NOCONV
+
+
 def test_compare_unknown_kind(tmp_path):
     rc = main(["compare", *GEN, "--kinds", "warp",
                "--report", str(tmp_path / "x.csv")])
@@ -126,6 +132,13 @@ def test_sweep_s_builds_one_preconditioner_per_s(tmp_path, monkeypatch):
     assert built == [5.0, 10.0]
 
 
+def test_sweep_s_nonconvergence_exit_code(tmp_path):
+    rc = main(["sweep-s", *GEN, "--precond", "pess", "--case", "I",
+               "--s-values", "5,10", "--maxit", "1",
+               "--report", str(tmp_path / "sweep.csv")])
+    assert rc == EXIT_NOCONV
+
+
 def test_sweep_s_empty_range(tmp_path):
     rc = main(["sweep-s", *GEN, "--precond", "pess",
                "--s-values", ",", "--report", str(tmp_path / "x.csv")])
@@ -158,6 +171,20 @@ def test_sensitivity_honours_side(tmp_path):
         assert its[side] == gmres(pert, rhs_for_ones(pert), precond=P,
                                   side=side).iterations
     assert its["left"] != its["right"]
+
+
+def test_sensitivity_rows_carry_solver_params(tmp_path):
+    report = tmp_path / "sens.csv"
+    rc = main(["sensitivity", *GEN, "--precond", "ss", "--noise", "5",
+               "--side", "left", "--report", str(report)])
+    assert rc == EXIT_OK
+    row = list(csv.reader(report.read_text().splitlines()))[1]
+    assert row[0] == "ss+noise"
+    params = dict(kv.split("=", 1) for kv in row[6].split(";"))
+    assert params["side"] == "left"
+    assert params["tol"] == "1e-06" and params["maxit"] == "7000"
+    assert params["noise_pct"] == "5.0" and params["seed"] == "0"
+    assert "solution_error" in params
 
 
 def test_params_flow(capsys):

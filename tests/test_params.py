@@ -1,15 +1,12 @@
-"""Parameter-selection strategies: the closed-form splitting-norm quadratic,
-the seeded power-iteration 2-norm estimator and the norm-balancing
-estimates."""
+"""Parameter-selection strategies: the splitting-norm quadratic and the
+norm-balancing estimates from ARPACK 2-norms."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from saddlekit.params import estimate_params, phi, phi_minimizer, power_norm2
-from saddlekit.precond import make_config, operand_dense
+from saddlekit.params import estimate_params, phi, phi_minimizer
+from saddlekit.precond import make_config, operand_sparse
 from saddlekit.problems import example1
 from saddlekit.system import assemble, to_dense
 
@@ -25,9 +22,9 @@ def direct_phi(sys, cfg, s):
     the squared Frobenius norm."""
     n, m = sys.n, sys.m
     sigma = np.zeros((sys.size, sys.size))
-    sigma[:n, :n] = operand_dense(cfg.lambda1, n)
-    sigma[n:n + m, n:n + m] = operand_dense(cfg.lambda2, m)
-    sigma[n + m:, n + m:] = operand_dense(cfg.lambda3, sys.p)
+    sigma[:n, :n] = operand_sparse(cfg.lambda1, n).toarray()
+    sigma[n:n + m, n:n + m] = operand_sparse(cfg.lambda2, m).toarray()
+    sigma[n + m:, n + m:] = operand_sparse(cfg.lambda3, sys.p).toarray()
     Q = sigma - (1.0 - s) * to_dense(sys)
     return float(np.linalg.norm(Q, "fro") ** 2)
 
@@ -66,35 +63,6 @@ def test_phi_convex(small_system):
     assert np.all(second > -1e-8 * np.abs(vals[1:-1]))
 
 
-def test_power_norm2_against_svd(rng):
-    D = rng.standard_normal((8, 8))
-    est = power_norm2(lambda x: D.T @ (D @ x), 8, tol=1e-12)
-    assert est.converged
-    assert float(est) == pytest.approx(np.linalg.norm(D, 2), rel=1e-8)
-
-
-def test_power_norm2_deterministic():
-    D = np.diag([3.0, 1.0, 0.5])
-    e1 = power_norm2(lambda x: D @ (D @ x), 3)
-    e2 = power_norm2(lambda x: D @ (D @ x), 3)
-    assert float(e1) == float(e2) == pytest.approx(3.0)
-
-
-def test_power_norm2_zero_operator():
-    est = power_norm2(lambda x: np.zeros_like(x), 4)
-    assert float(est) == 0.0 and est.converged
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(2, 10), st.integers(0, 2**31 - 1))
-def test_power_norm2_matches_svd(k, seed):
-    D = np.random.default_rng(seed).standard_normal((k, k))
-    est = power_norm2(lambda x: D.T @ (D @ x), k, tol=1e-12)
-    # power iteration approaches the top singular value from below
-    assert float(est) <= np.linalg.norm(D, 2) * (1 + 1e-8)
-    assert float(est) >= 0.0
-
-
 def test_estimate_params_golden_identity(rng):
     """With C orthogonal-ish replaced by identity blocks the estimates have
     a closed form: ||C^T L3^{-1} C||=1 when C=I, L3=I, so
@@ -125,6 +93,32 @@ def test_estimate_params_scaling_law(rng):
                                                    rel=1e-6)
     assert e2.beta_est == pytest.approx(e1.beta_est / c**2, rel=1e-6)
     assert e2.s_est == pytest.approx(e1.s_est / c**2, rel=1e-6)
+
+
+def test_estimate_params_norms_are_exact():
+    l = 16
+    sysv = example1(l)
+    est = estimate_params(sysv, lambda3=0.001)
+    # the largest eigenvalue of I (x) G + G (x) I, G = (l+1)^2 tridiag(-1, 2, -1)
+    exact_a = 2 * (l + 1) ** 2 * (2 + 2 * np.cos(np.pi / (l + 1)))
+    assert est.norms["norm_a"] == pytest.approx(exact_a, rel=1e-10)
+    assert est.norms["norm_b"] == pytest.approx(
+        np.linalg.norm(sysv.B.toarray(), 2), rel=1e-10)
+
+
+@pytest.mark.parametrize("zero", ["B", "C"])
+def test_estimate_params_rejects_zero_coupling(zero):
+    sysv = random_system(np.random.default_rng(3))
+    blocks = {"A": sysv.A, "B": sysv.B, "C": sysv.C}
+    blocks[zero] = sp.csr_matrix(blocks[zero].shape)
+    with pytest.raises(ValueError):
+        estimate_params(assemble(**blocks), lambda3=1.0)
+
+
+def test_estimate_params_rejects_one_constraint():
+    sysv = random_system(np.random.default_rng(3), n=4, m=1, p=1)
+    with pytest.raises(ValueError):
+        estimate_params(sysv, lambda3=1.0)
 
 
 def test_estimate_params_deterministic(small_system):

@@ -8,8 +8,7 @@ import pytest
 from saddlekit.dense import NotPositiveDefinite, Singular
 from saddlekit.gmres import gmres, true_residual
 from saddlekit.precond import (KINDS, GssConfig, build, build_bd,
-                               gss_dense_matrix, make_config,
-                               splitting_residual)
+                               make_config, splitting_residual)
 from saddlekit.problems import case_preset, example1
 from saddlekit.system import rhs_for_ones
 
@@ -83,19 +82,12 @@ def test_make_config_half_shift_folding():
 def test_apply_matches_dense_oracle(kind, small_system, rng):
     cfg = all_kind_configs(small_system)[kind]
     P = build(small_system, cfg)
-    M = P.dense_matrix()
+    M = P.matrix.toarray()
     for _ in range(50):
         r = rng.standard_normal(small_system.size)
         w = P.apply(r)
         ref = np.linalg.solve(M, r)
         assert np.linalg.norm(w - ref) / np.linalg.norm(ref) < 1e-10
-
-
-def test_dense_matrix_matches_gss_dense(small_system):
-    cfg = all_kind_configs(small_system)["pess"]
-    P = build(small_system, cfg)
-    assert np.allclose(P.dense_matrix(),
-                       gss_dense_matrix(small_system, cfg), atol=0.0)
 
 
 def test_apply_block_vector_and_multicolumn(small_system, rng):
@@ -153,7 +145,7 @@ def test_case_ii_matrix_matches_block_oracle(kind):
     want = np.block([[L1 + s * A, s * B.T, np.zeros((n, p))],
                      [-s * B, np.eye(m), -s * C.T],
                      [np.zeros((p, n)), s * C, 0.001 * (C @ C.T)]])
-    assert np.array_equal(build(sysv, cfg).dense_matrix(), want)
+    assert np.array_equal(build(sysv, cfg).matrix.toarray(), want)
 
 
 # -- splitting identity ----------------------------------------------------

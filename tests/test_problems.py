@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from saddlekit.precond import operand_dense
+from saddlekit.precond import operand_sparse
 from saddlekit.problems import NoiseSpec, case_preset, example1, perturb
 from saddlekit.system import validate
 
@@ -19,7 +19,7 @@ def test_example1_structure():
     sysv = example1(4)
     assert (sysv.n, sysv.m, sysv.p) == (32, 16, 16)
     assert sysv.size == 4 * 16
-    rep = validate(sysv, level="full")
+    rep = validate(sysv)
     assert rep.ok
 
 
@@ -67,10 +67,11 @@ def test_case_presets():
     cfg2 = case_preset("II", sysv, s=13.0)
     assert cfg2.lambda1 is sysv.A
     CCt = sysv.C.toarray() @ sysv.C.toarray().T
-    assert np.allclose(operand_dense(cfg2.lambda3, sysv.p), 0.001 * CCt)
+    assert np.allclose(operand_sparse(cfg2.lambda3, sysv.p).toarray(), 0.001 * CCt)
 
     cfg3 = case_preset("case ii", sysv, s=13.0, lambda3_coef=1e-4)
-    assert np.allclose(operand_dense(cfg3.lambda3, sysv.p), 1e-4 * CCt)
+    assert np.allclose(operand_sparse(cfg3.lambda3, sysv.p).toarray(),
+                       1e-4 * CCt)
 
     with pytest.raises(ValueError):
         case_preset("III", sysv, s=1.0)
@@ -91,7 +92,7 @@ def test_perturb_touches_only_coupling_blocks():
     pert = perturb(sysv, NoiseSpec(10.0))
     assert same(pert.A, sysv.A)
     assert not same(pert.B, sysv.B) and not same(pert.C, sysv.C)
-    assert validate(pert, level="full").ok
+    assert validate(pert).ok
 
 
 def test_perturb_deterministic_and_linear():

@@ -44,7 +44,7 @@ def test_spectrum_matches_dense_oracle(small_system):
     cfg = pess_cfg(2.0)
     P = build(small_system, cfg)
     spec = preconditioned_spectrum(small_system, P)
-    ref = np.linalg.eigvals(np.linalg.solve(P.dense_matrix(),
+    ref = np.linalg.eigvals(np.linalg.solve(P.matrix.toarray(),
                                             to_dense(small_system)))
     assert np.allclose(np.sort_complex(spec),
                        np.sort_complex(ref), atol=1e-8)
@@ -184,7 +184,7 @@ def test_condition_number_oracle(small_system):
     assert condition_number(small_system) == pytest.approx(
         np.linalg.cond(M, 2), rel=1e-8)
     P = build(small_system, pess_cfg(2.0))
-    PM = np.linalg.solve(P.dense_matrix(), M)
+    PM = np.linalg.solve(P.matrix.toarray(), M)
     assert condition_number(small_system, P) == pytest.approx(
         np.linalg.cond(PM, 2), rel=1e-6)
     # preconditioning improves conditioning here

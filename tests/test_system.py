@@ -127,7 +127,7 @@ def test_rhs_for_ones(small_system):
 
 
 def test_validate_full_passes(small_system):
-    rep = validate(small_system, level="full")
+    rep = validate(small_system)
     assert rep.ok
     assert rep.spd_ok and rep.b_full_rank and rep.c_full_rank
 
@@ -137,7 +137,7 @@ def test_validate_detects_rank_deficiency(rng):
     Cd = sysv.C.toarray()
     Cd[-1] = Cd[0]  # duplicate a row
     bad = SaddlePointSystem(sysv.A, sysv.B, sp.csr_matrix(Cd))
-    rep = validate(bad, level="full")
+    rep = validate(bad)
     assert not rep.c_full_rank
     assert not rep.ok
     assert any("C" in msg for msg in rep.messages)
@@ -148,6 +148,6 @@ def test_validate_detects_indefinite_a(rng):
     Ad = sysv.A.toarray()
     Ad -= 2 * np.linalg.eigvalsh(Ad)[-1] * np.eye(sysv.n)
     bad = SaddlePointSystem(sp.csr_matrix(Ad), sysv.B, sysv.C)
-    rep = validate(bad, level="full")
+    rep = validate(bad)
     assert not rep.spd_ok
     assert not rep.ok
