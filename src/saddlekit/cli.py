@@ -3,8 +3,8 @@ report writers.
 
 Exit codes: 0 success/converged, 1 usage or configuration error (including
 an input that is not SPD, a singular preconditioner or a failed eigensolve),
-2 non-convergence (for ``compare`` and ``sweep-s``, of any row; an error
-row counts as not converged).
+2 non-convergence (for ``compare``, ``sweep-s`` and ``sensitivity``, of
+any row; an error row counts as not converged).
 """
 
 from __future__ import annotations
@@ -181,17 +181,23 @@ def _solve_one(kind, sys_, problem_id, args):
     solution is all ones; return the report, its record and the
     preconditioner (None for "none")."""
     P, meta = _make_precond(kind, sys_, args)
-    d = rhs_for_ones(sys_)
-    apply_p = None if P is None else P.apply
-    rep = gmres(sys_, d, precond=apply_p, tol=args.tol, maxit=args.maxit,
-                side=args.side)
+    return (*_solve_with(kind, P, meta, sys_, problem_id, args), P)
+
+
+def _solve_with(kind, P, meta, sys_, problem_id, args):
+    """Solve with the built preconditioner ``P`` (None for the identity) for
+    the right-hand side whose solution is all ones; return the report and
+    its record, which carries the monitored and the true residual."""
+    rep = gmres(sys_, rhs_for_ones(sys_),
+                precond=None if P is None else P.apply, tol=args.tol,
+                maxit=args.maxit, side=args.side)
     record = mmio.ReportRecord(
         process=kind, problem=problem_id, size=sys_.size,
         it=rep.iterations, res=rep.final_res, wall_seconds=rep.wall_seconds,
         params={**meta, "tol": args.tol, "maxit": args.maxit,
-                "side": rep.side},
+                "side": rep.side, "true_res": rep.true_final_res},
         converged=rep.converged)
-    return rep, record, P
+    return rep, record
 
 
 def _exit_code(records):
@@ -309,7 +315,7 @@ def cmd_sensitivity(args):
             record, process=f"{args.precond}+noise"))
     if args.report:
         mmio.write_report(records, "csv", args.report)
-    return EXIT_OK
+    return _exit_code(records)
 
 
 def cmd_params(args):
@@ -331,13 +337,11 @@ def cmd_params(args):
         else:
             cfg = precond.make_config("lpess", lambda2=est.beta_est,
                                       lambda3=lam3, s=est.s_est)
-        P = precond.build(sys_, cfg)
-        d = rhs_for_ones(sys_)
-        rep = gmres(sys_, d, precond=P.apply, tol=args.tol, maxit=args.maxit,
-                    side=args.side)
-        print(f"{args.preset} it={rep.iterations} "
-              f"res={mmio.format_res(rep.final_res)}")
-        return EXIT_OK if rep.converged else EXIT_NOCONV
+        _, record = _solve_with(args.preset, precond.build(sys_, cfg), {},
+                                sys_, pid, args)
+        print(f"{args.preset} it={record.it} "
+              f"res={mmio.format_res(record.res)}")
+        return _exit_code([record])
     return EXIT_OK
 
 

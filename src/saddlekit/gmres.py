@@ -1,28 +1,38 @@
 """Full (non-restarted) GMRES with right or left preconditioning.
 
-Arnoldi with modified Gram-Schmidt and Givens rotations on the Hessenberg
-matrix.  The two preconditioning sides differ in what the residual history
-tracks, matching the two conventions found in published tables:
+Arnoldi with classical Gram-Schmidt run twice (two BLAS-2 passes over a
+row-major basis) and Givens rotations on the Hessenberg matrix.  Each step
+monitors the least-squares residual |g_{k+1}| of the rotated system relative
+to the norm of the (preconditioned, on the left) right-hand side; every
+rotation scales it by |sin| <= 1, so the history never increases.  The two
+preconditioning sides differ in what it measures and in when a solve
+counts as converged, matching the two conventions found in published
+tables:
 
-* right (default): solve A P^{-1} v = d, u = P^{-1} v.  The stopping rule
-  and the reported history are the TRUE relative residual
-  ||A u - d|| / ||d||, recomputed from the assembled iterate each step.
+* right (default): solve A P^{-1} v = d, u = P^{-1} v.  The solver monitors
+  the least-squares residual and stops only on a confirmed true residual:
+  once the monitored value drops below the tolerance it assembles u and
+  computes ||A u - d|| / ||d||, and if that is not below the tolerance too
+  it keeps iterating.
 
-* left: solve P^{-1} A u = P^{-1} d.  The stopping rule and history are
-  the PRECONDITIONED relative residual ||P^{-1}(A u - d)|| / ||P^{-1} d||,
-  which is what MATLAB's gmres reports; the true residual of the final
-  iterate is recorded separately.
+* left: solve P^{-1} A u = P^{-1} d.  The monitored residual is the
+  PRECONDITIONED relative residual ||P^{-1}(A u - d)|| / ||P^{-1} d||,
+  which is what MATLAB's gmres reports, and it alone decides convergence.
 
-The iteration count is the number of Arnoldi steps taken when the
-monitored residual first drops below the tolerance.
+``SolveReport.final_res`` is the last monitored residual and
+``SolveReport.true_final_res`` the true relative residual
+||A u - d|| / ||d|| of the returned iterate.  The iteration count is the
+number of Arnoldi steps taken.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .system import BlockVector, SaddlePointSystem, operator_apply
 
@@ -37,8 +47,8 @@ class SolveReport:
     res_history: np.ndarray
     wall_seconds: float
     solution: np.ndarray
-    side: str = "right"
-    true_final_res: float = None
+    side: str
+    true_final_res: float
 
     def __str__(self):
         tag = "converged" if self.converged else "stalled"
@@ -73,85 +83,73 @@ def gmres(sys: SaddlePointSystem, d, precond=None, tol=1e-6, maxit=7000,
     apply_p = (lambda r: r) if precond is None else precond
 
     x0 = np.zeros(N) if x0 is None else np.asarray(x0, dtype=np.float64)
-    nd = np.linalg.norm(d)
-    if nd == 0.0:
-        nd = 1.0
+    nd = float(np.linalg.norm(d)) or 1.0
     r0 = d - operator_apply(sys, x0)
+    true_res = float(np.linalg.norm(r0) / nd)
     if side == "left":
         r0 = apply_p(r0)
-        nd = np.linalg.norm(apply_p(d))
-        if nd == 0.0:
-            nd = 1.0
-    beta = np.linalg.norm(r0)
-    history = [float(beta / nd)]
+        nd = float(np.linalg.norm(apply_p(d))) or 1.0
+    beta = float(np.linalg.norm(r0))
+    history = [beta / nd]
     if history[0] < tol:
         return SolveReport(True, 0, history[0], np.asarray(history),
-                           time.perf_counter() - t0, x0, side,
-                           true_residual(sys, x0, d))
+                           time.perf_counter() - t0, x0, side, true_res)
 
     maxit = min(maxit, N)
-    V = np.empty((N, BASIS_BLOCK))
-    V[:, 0] = r0 / beta
-    H = np.zeros((BASIS_BLOCK + 1, BASIS_BLOCK))
-    cs = np.empty(maxit)
-    sn = np.empty(maxit)
-    g = np.zeros(maxit + 1)
-    g[0] = beta
+    V = np.empty((BASIS_BLOCK, N))  # the Arnoldi basis, one vector per row
+    V[0] = r0 / beta
+    R = np.zeros((BASIS_BLOCK, BASIS_BLOCK))  # the rotated Hessenberg matrix
+    cs, sn = [], []
+    g = [beta]
 
     def assemble_x(k):
-        y = np.linalg.solve(np.triu(H[:k, :k]), g[:k])
-        corr = V[:, :k] @ y
+        y = solve_triangular(R[:k, :k], g[:k])
+        corr = y @ V[:k]
         return x0 + (apply_p(corr) if side == "right" else corr)
 
     it = 0
     converged = False
     x = x0
     for k in range(maxit):
-        if k + 1 >= V.shape[1]:
-            V = np.concatenate([V, np.empty((N, BASIS_BLOCK))], axis=1)
-            H = np.pad(H, ((0, BASIS_BLOCK), (0, BASIS_BLOCK)))
+        if k + 1 >= V.shape[0]:
+            V = np.concatenate([V, np.empty((BASIS_BLOCK, N))])
+            R = np.pad(R, ((0, BASIS_BLOCK), (0, BASIS_BLOCK)))
         if side == "right":
-            w = operator_apply(sys, apply_p(V[:, k]))
+            w = operator_apply(sys, apply_p(V[k]))
         else:
-            w = apply_p(operator_apply(sys, V[:, k]))
-        # modified Gram-Schmidt
-        for j in range(k + 1):
-            H[j, k] = float(V[:, j] @ w)
-            w -= H[j, k] * V[:, j]
-        H[k + 1, k] = np.linalg.norm(w)
-        breakdown = H[k + 1, k] <= 1e-14 * beta
+            w = apply_p(operator_apply(sys, V[k]))
+        # classical Gram-Schmidt, twice ("twice is enough")
+        basis = V[:k + 1]
+        h = basis @ w
+        w -= h @ basis
+        h2 = basis @ w
+        w -= h2 @ basis
+        h = (h + h2).tolist()
+        h_next = float(np.linalg.norm(w))
+        breakdown = h_next <= 1e-14 * beta
         if not breakdown:
-            V[:, k + 1] = w / H[k + 1, k]
-        # apply accumulated Givens rotations to the new column
+            V[k + 1] = w / h_next
+        # apply the accumulated Givens rotations to the new column
         for j in range(k):
-            h0 = cs[j] * H[j, k] + sn[j] * H[j + 1, k]
-            H[j + 1, k] = -sn[j] * H[j, k] + cs[j] * H[j + 1, k]
-            H[j, k] = h0
-        denom = np.hypot(H[k, k], H[k + 1, k])
-        cs[k] = H[k, k] / denom
-        sn[k] = H[k + 1, k] / denom
-        H[k, k] = denom
-        H[k + 1, k] = 0.0
-        g[k + 1] = -sn[k] * g[k]
+            c, s = cs[j], sn[j]
+            h[j], h[j + 1] = c * h[j] + s * h[j + 1], c * h[j + 1] - s * h[j]
+        denom = math.hypot(h[k], h_next)
+        cs.append(h[k] / denom)
+        sn.append(h_next / denom)
+        h[k] = denom
+        R[:k + 1, k] = h
+        g.append(-sn[k] * g[k])
         g[k] = cs[k] * g[k]
 
         it = k + 1
-        if side == "right":
-            # assemble the iterate and measure the true residual
-            x = assemble_x(it)
-            res = float(np.linalg.norm(d - operator_apply(sys, x)) / nd)
-        else:
-            # the Arnoldi least-squares residual IS the preconditioned one
-            res = float(abs(g[k + 1]) / nd)
+        res = abs(g[it]) / nd
         history.append(res)
-        if res < tol:
-            converged = True
-            break
-        if breakdown:
-            break
+        if res < tol or breakdown or it == maxit:
+            x = assemble_x(it)
+            true_res = true_residual(sys, x, d)
+            converged = res < tol and (side == "left" or true_res < tol)
+            if converged or breakdown:
+                break
 
-    if side == "left" or not converged:
-        x = assemble_x(it)
     return SolveReport(converged, it, history[-1], np.asarray(history),
-                       time.perf_counter() - t0, x, side,
-                       true_residual(sys, x, d))
+                       time.perf_counter() - t0, x, side, true_res)

@@ -406,7 +406,7 @@ def test_criterion6_gmres_monotonicity():
     for i, rep in enumerate(MONITORED_RUNS):
         h = rep.res_history
         diffs = np.diff(h)
-        if not np.all(diffs <= 1e-12 + 1e-8 * h[:-1]):
+        if not np.all(diffs <= 0):
             failures.append(f"run {i} ({rep.side}): history not monotone")
     verdict(f"criterion 6f: residual monotonicity over "
             f"{len(MONITORED_RUNS)} recorded runs", failures)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from saddlekit import precond
+from saddlekit import cli, precond
 from saddlekit.cli import EXIT_NOCONV, EXIT_OK, EXIT_USAGE, main
 from saddlekit.gmres import gmres
 from saddlekit.mmio import write_matrix_market
@@ -33,6 +33,8 @@ def test_solve_pess_with_report(tmp_path, capsys):
     rows = list(csv.reader(report.read_text().splitlines()))
     assert rows[1][0] == "pess"
     assert int(rows[1][3]) < 20  # preconditioned count is small
+    params = dict(kv.split("=", 1) for kv in rows[1][6].split(";"))
+    assert float(params["true_res"]) < 1e-6
 
 
 def test_solve_json_report(tmp_path):
@@ -42,6 +44,7 @@ def test_solve_json_report(tmp_path):
     assert rc == EXIT_OK
     payload = json.loads(report.read_text())
     assert payload[0]["process"] == "lpess" and payload[0]["converged"]
+    assert payload[0]["params"]["true_res"] < 1e-6
 
 
 def test_solve_nonconvergence_exit_code():
@@ -185,6 +188,25 @@ def test_sensitivity_rows_carry_solver_params(tmp_path):
     assert params["tol"] == "1e-06" and params["maxit"] == "7000"
     assert params["noise_pct"] == "5.0" and params["seed"] == "0"
     assert "solution_error" in params
+
+
+def test_sensitivity_nonconvergence_exit_code(tmp_path, monkeypatch):
+    # the baseline solve converges; the perturbed one is cut to one step
+    calls = []
+
+    def gmres_after_baseline(*args, **kwargs):
+        calls.append(1)
+        if len(calls) > 1:
+            kwargs["maxit"] = 1
+        return gmres(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "gmres", gmres_after_baseline)
+    report = tmp_path / "sens.csv"
+    rc = main(["sensitivity", *GEN, "--noise", "5", "--report", str(report)])
+    assert rc == EXIT_NOCONV
+    assert len(calls) == 2
+    rows = list(csv.reader(report.read_text().splitlines()))
+    assert rows[1][0] == "none+noise" and rows[1][3] == "1"
 
 
 def test_params_flow(capsys):
