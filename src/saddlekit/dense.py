@@ -4,7 +4,7 @@
 L D L^T sign test that returns the factor.  ``cholesky`` is the dense
 factor of the exact block-diagonal baseline and the scaled operator,
 ``eig_general`` turns a LAPACK eigensolver failure into
-``ConvergenceFailure``, and ``cond2`` rejects a singular matrix.
+``ConvergenceFailure``, and ``norm2`` does the same for ARPACK.
 Everything else calls numpy/scipy directly.
 """
 
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.sparse.linalg import splu
 
 
@@ -103,13 +104,17 @@ def eig_general(M) -> np.ndarray:
     return np.asarray(lam, dtype=np.complex128)
 
 
-def cond2(M) -> float:
-    """Spectral condition number via the extreme eigenvalues of M^T M."""
-    M = np.asarray(M, dtype=np.float64)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("matrix must be square")
-    w = np.linalg.eigvalsh(M.T @ M)
-    lam_min, lam_max = float(w[0]), float(w[-1])
-    if lam_min <= 1e-300 * max(lam_max, 1.0):
-        raise Singular("matrix is numerically singular")
-    return float(np.sqrt(lam_max / lam_min))
+def norm2(op, symmetric=False) -> float:
+    """2-norm of a matrix or LinearOperator from ARPACK: the largest
+    eigenvalue magnitude when ``symmetric``, else the largest singular
+    value.  The start vector is fixed, so results are bit-stable."""
+    k = min(op.shape)
+    v0 = np.full(k, 1.0 / np.sqrt(k))
+    try:
+        if symmetric:
+            val = spla.eigsh(op, k=1, v0=v0, return_eigenvectors=False)[0]
+        else:
+            val = spla.svds(op, k=1, v0=v0, return_singular_vectors=False)[0]
+    except spla.ArpackNoConvergence as exc:
+        raise ConvergenceFailure(f"ARPACK did not converge: {exc}") from exc
+    return abs(float(val))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .dense import require_spd
+from .dense import norm2, require_spd
 from .precond import GssConfig, operand_sparse, sigma_matrix
 from .system import SaddlePointSystem
 
@@ -56,10 +56,6 @@ class ParamEstimate:
             raise ValueError("estimates must be positive")
 
 
-def _start(k):
-    return np.full(k, 1.0 / np.sqrt(k))
-
-
 def estimate_params(sys: SaddlePointSystem, lambda3) -> ParamEstimate:
     """Balancing estimates from four 2-norms: A, B, C^T L3^{-1} C, and the
     resulting L2 = beta_est I (whose 2-norm is beta_est itself)."""
@@ -73,13 +69,9 @@ def estimate_params(sys: SaddlePointSystem, lambda3) -> ParamEstimate:
         raise ValueError("the balancing estimate needs n and m of at least 2")
     ctl3c = spla.LinearOperator((sys.m, sys.m), dtype=np.float64,
                                 matvec=lambda x: C.T @ lam3_lu.solve(C @ x))
-    # a symmetric operator's 2-norm is its largest eigenvalue magnitude
-    norm_ctl3c = abs(float(spla.eigsh(ctl3c, k=1, v0=_start(sys.m),
-                                      return_eigenvectors=False)[0]))
-    norm_a = abs(float(spla.eigsh(A, k=1, v0=_start(sys.n),
-                                  return_eigenvectors=False)[0]))
-    norm_b = float(spla.svds(B, k=1, v0=_start(min(B.shape)),
-                             return_singular_vectors=False)[0])
+    norm_ctl3c = norm2(ctl3c, symmetric=True)
+    norm_a = norm2(A, symmetric=True)
+    norm_b = norm2(B)
 
     beta = norm_b ** 4 / (4.0 * norm_ctl3c * norm_a ** 2)
     s = np.sqrt(beta / norm_ctl3c)

@@ -168,6 +168,18 @@ class GssPreconditioner:
 
     __call__ = apply
 
+    def apply_transpose(self, r):
+        """Solve P^T w = r."""
+        return self.lu.solve(r, trans="T")
+
+    def matvec(self, x):
+        """P x."""
+        return self.matrix @ x
+
+    def rmatvec(self, x):
+        """P^T x."""
+        return self.matrix.T @ x
+
 
 def build(sys: SaddlePointSystem, cfg: GssConfig) -> GssPreconditioner:
     """Assemble the shift-splitting preconditioner and factor it once."""
@@ -189,19 +201,25 @@ class BdPreconditioner:
     s_factor: CholeskyFactor
     css_factor: CholeskyFactor
 
+    def _blockwise(self, f, r):
+        """Stack f(factor, block of r) over the three diagonal blocks."""
+        cuts = np.cumsum([self.a_factor.order, self.s_factor.order])
+        blocks = np.split(np.asarray(r, dtype=np.float64), cuts)
+        return np.concatenate([f(F, b) for F, b in zip(
+            (self.a_factor, self.s_factor, self.css_factor), blocks)])
+
     def apply(self, r):
         """Solve P w = r blockwise for a flat array r (optionally
-        multi-column); the block sizes are the factor orders."""
-        r = np.asarray(r, dtype=np.float64)
-        n = self.a_factor.order
-        nm = n + self.s_factor.order
-        return np.concatenate([
-            cholesky_solve(self.a_factor, r[:n]),
-            cholesky_solve(self.s_factor, r[n:nm]),
-            cholesky_solve(self.css_factor, r[nm:]),
-        ])
+        multi-column)."""
+        return self._blockwise(cholesky_solve, r)
+
+    def matvec(self, x):
+        """P x = L L^T x blockwise."""
+        return self._blockwise(lambda F, xb: F.lower @ (F.lower.T @ xb), x)
 
     __call__ = apply
+    # every block is symmetric, so P^T = P
+    apply_transpose, rmatvec = apply, matvec
 
 
 def build_bd(sys: SaddlePointSystem) -> BdPreconditioner:

@@ -26,8 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 
-from .dense import cond2, eig_general, require_spd
+from .dense import Singular, eig_general, norm2, require_spd
 from .precond import GssConfig, operand_sparse
 from .system import SaddlePointSystem, to_dense
 
@@ -276,11 +277,26 @@ def lpess_bounds(spectrum, extremes: ScalarExtremes, s: float, n: int,
 
 
 def condition_number(sys: SaddlePointSystem, precond=None) -> float:
-    """Two-norm condition number of the densified (preconditioned) operator."""
-    M = to_dense(sys)
-    if precond is not None:
-        M = precond(M)
-    return cond2(M)
+    """Two-norm condition number sigma_max(M) sigma_max(M^{-1}) of
+    M = P^{-1} A, or of A itself without ``precond``.  Both singular values
+    come from ARPACK on sparse operators around one sparse LU of A, so
+    nothing is densified and no size limit applies."""
+    A, P = sys.matrix, precond
+    try:
+        lu = spla.splu(A.tocsc())
+    except RuntimeError as exc:
+        raise Singular(f"coefficient matrix is singular: {exc}") from exc
+
+    def op(matvec, rmatvec):
+        return spla.LinearOperator(A.shape, matvec=matvec, rmatvec=rmatvec,
+                                   dtype=np.float64)
+
+    if P is None:
+        return norm2(A) * norm2(op(lu.solve, lambda x: lu.solve(x, trans="T")))
+    M = op(lambda x: P.apply(A @ x), lambda x: A.T @ P.apply_transpose(x))
+    M_inv = op(lambda x: lu.solve(P.matvec(x)),
+               lambda x: P.rmatvec(lu.solve(x, trans="T")))
+    return norm2(M) * norm2(M_inv)
 
 
 # -- serialization -------------------------------------------------------

@@ -4,6 +4,7 @@ oracles across the suite."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from saddlekit.dense import eig_general
 from saddlekit.system import assemble, to_dense
@@ -23,6 +24,11 @@ def iteration_matrix_radius(sys, precond):
     """rho(I - P^{-1} A) by densifying the preconditioned operator."""
     PA = precond.apply(to_dense(sys))
     return float(np.max(np.abs(eig_general(np.eye(sys.size) - PA))))
+
+
+def arpack_fails(*args, **kwargs):
+    """Stand-in for an ARPACK routine that runs out of iterations."""
+    raise spla.ArpackNoConvergence("no convergence", [], [])
 
 
 def random_spd(rng, k, shift=1.0):

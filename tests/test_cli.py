@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from saddlekit import cli, precond
 from saddlekit.cli import EXIT_NOCONV, EXIT_OK, EXIT_USAGE, main
@@ -14,6 +15,8 @@ from saddlekit.gmres import gmres
 from saddlekit.mmio import write_matrix_market
 from saddlekit.problems import NoiseSpec, example1, perturb
 from saddlekit.system import rhs_for_ones
+
+from conftest import arpack_fails
 
 GEN = ["--gen-l", "3"]
 
@@ -135,6 +138,29 @@ def test_sweep_s_builds_one_preconditioner_per_s(tmp_path, monkeypatch):
     assert built == [5.0, 10.0]
 
 
+def test_sweep_s_cond_above_densification_limit(tmp_path):
+    # 4 * 36^2 = 5184 unknowns, above system.DENSIFY_LIMIT
+    report = tmp_path / "sweep.csv"
+    rc = main(["sweep-s", "--gen-l", "36", "--precond", "pess", "--case",
+               "II", "--s-values", "5,10", "--with-cond",
+               "--report", str(report)])
+    assert rc == EXIT_OK
+    rows = list(csv.reader(report.read_text().splitlines()))[1:]
+    assert len(rows) == 2
+    for row in rows:
+        params = dict(kv.split("=", 1) for kv in row[6].split(";"))
+        assert np.isfinite(float(params["cond"]))
+
+
+def test_sweep_s_arpack_failure_exit_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(spla, "svds", arpack_fails)
+    rc = main(["sweep-s", *GEN, "--precond", "pess", "--s-values", "5",
+               "--with-cond", "--report", str(tmp_path / "sweep.csv")])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "ARPACK did not converge" in err and "Traceback" not in err
+
+
 def test_sweep_s_nonconvergence_exit_code(tmp_path):
     rc = main(["sweep-s", *GEN, "--precond", "pess", "--case", "I",
                "--s-values", "5,10", "--maxit", "1",
@@ -214,6 +240,13 @@ def test_params_flow(capsys):
     assert rc == EXIT_OK
     out = capsys.readouterr().out
     assert "s_est=" in out and "phi minimizer" in out
+
+
+def test_params_arpack_failure_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr(spla, "eigsh", arpack_fails)
+    assert main(["params", *GEN]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "ARPACK did not converge" in err and "Traceback" not in err
 
 
 def test_params_preset_solve(capsys):

@@ -1,11 +1,11 @@
-"""Dense kernels: the Cholesky SPD test and solves, the general
-eigensolver, and the condition number."""
+"""Dense kernels: the Cholesky SPD test and solves, and the general
+eigensolver."""
 
 import numpy as np
 import pytest
 
-from saddlekit.dense import (NotPositiveDefinite, Singular, cholesky,
-                             cholesky_solve, cond2, eig_general)
+from saddlekit.dense import (NotPositiveDefinite, cholesky, cholesky_solve,
+                             eig_general)
 
 from conftest import random_spd
 
@@ -51,11 +51,3 @@ def test_eig_general_rotation():
     assert np.allclose(spec.real, 0.0)
     assert np.allclose(sorted(spec.imag), [-1.0, 1.0])
 
-
-def test_cond2_diagonal():
-    assert cond2(np.diag([4.0, 1.0, 0.5])) == pytest.approx(8.0)
-
-
-def test_cond2_singular():
-    with pytest.raises(Singular):
-        cond2(np.zeros((2, 2)))

@@ -4,13 +4,15 @@ norm-balancing estimates from ARPACK 2-norms."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from saddlekit.dense import ConvergenceFailure
 from saddlekit.params import estimate_params, phi, phi_minimizer
 from saddlekit.precond import make_config, operand_sparse
 from saddlekit.problems import example1
 from saddlekit.system import assemble, to_dense
 
-from conftest import random_system
+from conftest import arpack_fails, random_system
 
 
 def pess_cfg(s=1.0):
@@ -119,6 +121,12 @@ def test_estimate_params_rejects_one_constraint():
     sysv = random_system(np.random.default_rng(3), n=4, m=1, p=1)
     with pytest.raises(ValueError):
         estimate_params(sysv, lambda3=1.0)
+
+
+def test_estimate_params_arpack_failure(small_system, monkeypatch):
+    monkeypatch.setattr(spla, "eigsh", arpack_fails)
+    with pytest.raises(ConvergenceFailure):
+        estimate_params(small_system, lambda3=0.001)
 
 
 def test_estimate_params_deterministic(small_system):

@@ -6,9 +6,12 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from saddlekit.dense import NotPositiveDefinite
-from saddlekit.precond import build, make_config
+from saddlekit.dense import ConvergenceFailure, NotPositiveDefinite, Singular
+from saddlekit.precond import build, build_bd, make_config
+from saddlekit.problems import case_preset, example1
 from saddlekit.spectral import (InapplicableBound, check_pess_nonreal,
                                 check_real_interval, check_unit_disk,
                                 condition_number, lpess_bound_values,
@@ -17,9 +20,9 @@ from saddlekit.spectral import (InapplicableBound, check_pess_nonreal,
                                 preconditioned_spectrum, report_to_dict,
                                 scalar_extremes, write_eigenvalue_csv,
                                 write_spectral_report)
-from saddlekit.system import to_dense
+from saddlekit.system import assemble, to_dense
 
-from conftest import random_system
+from conftest import arpack_fails, random_system
 
 
 def pess_cfg(s, lam3=0.001):
@@ -182,13 +185,37 @@ def test_lpess_localization_on_random_systems(seed):
 def test_condition_number_oracle(small_system):
     M = to_dense(small_system)
     assert condition_number(small_system) == pytest.approx(
-        np.linalg.cond(M, 2), rel=1e-8)
+        np.linalg.cond(M, 2), rel=1e-10)
     P = build(small_system, pess_cfg(2.0))
     PM = np.linalg.solve(P.matrix.toarray(), M)
     assert condition_number(small_system, P) == pytest.approx(
-        np.linalg.cond(PM, 2), rel=1e-6)
+        np.linalg.cond(PM, 2), rel=1e-10)
     # preconditioning improves conditioning here
     assert condition_number(small_system, P) < condition_number(small_system)
+    bd = build_bd(small_system)
+    assert condition_number(small_system, bd) == pytest.approx(
+        np.linalg.cond(bd.apply(M), 2), rel=1e-10)
+
+
+def test_condition_number_deterministic():
+    l8 = example1(8)
+    P = build(l8, case_preset("II", l8, s=10.0))
+    assert condition_number(l8, P) == condition_number(l8, P)
+
+
+def test_condition_number_singular():
+    # the second row of B and the second column of C are zero, so the
+    # coefficient matrix has a zero row
+    sysv = assemble(sp.identity(3), sp.csr_matrix([[1.0, 0, 0], [0, 0, 0]]),
+                    sp.csr_matrix([[1.0, 0]]))
+    with pytest.raises(Singular):
+        condition_number(sysv)
+
+
+def test_condition_number_arpack_failure(small_system, monkeypatch):
+    monkeypatch.setattr(spla, "svds", arpack_fails)
+    with pytest.raises(ConvergenceFailure):
+        condition_number(small_system)
 
 
 # -- serialization -----------------------------------------------------------
