@@ -242,33 +242,25 @@ def cmd_compare(args):
 
 def cmd_spectrum(args):
     sys_, pid = _make_system(args)
+    P, _ = _make_precond(args.precond, sys_, args)
+    spec = spectral.preconditioned_spectrum(sys_, P)
     reports = []
-    if args.precond == "none":
-        spec = spectral.preconditioned_spectrum(sys_)
-        print(f"{pid}: {len(spec)} eigenvalues of the "
-              f"unpreconditioned operator")
-    elif args.precond in ("pess", "lpess"):
-        P, _ = _make_precond(args.precond, sys_, args)
-        spec = spectral.preconditioned_spectrum(sys_, P)
-        ext = spectral.scalar_extremes(sys_, P.config)
-        reports.append(spectral.check_unit_disk(spec, args.s))
-        if args.precond == "pess":
-            reports.append(spectral.check_real_interval(spec, ext, args.s))
-            reports.append(spectral.check_pess_nonreal(spec, ext, args.s))
-        else:
-            reports.append(spectral.lpess_bounds(spec, ext, args.s, sys_.n))
-        for r in reports:
-            print(f"{r.theorem}: {'holds' if r.holds else 'VIOLATED'} "
-                  f"({len(r.violations)} violations)")
-    else:
-        P, _ = _make_precond(args.precond, sys_, args)
-        spec = spectral.preconditioned_spectrum(sys_, P)
-        if hasattr(P, "config"):  # the shift-splitting family
-            reports.append(spectral.check_unit_disk(spec, P.config.s))
-            print(f"unit-disk: {'holds' if reports[0].holds else 'VIOLATED'}")
-        else:
-            print(f"{pid}: {len(spec)} eigenvalues of the "
-                  f"preconditioned operator")
+    if hasattr(P, "config"):  # the shift-splitting family
+        s = P.config.s
+        reports.append(spectral.check_unit_disk(spec, s))
+        if args.precond in ("pess", "lpess"):
+            ext = spectral.scalar_extremes(sys_, P.config)
+            if args.precond == "pess":
+                reports += [spectral.check_real_interval(spec, ext, s),
+                            spectral.check_pess_nonreal(spec, ext, s)]
+            else:
+                reports.append(spectral.lpess_bounds(spec, ext, s, sys_.n))
+    for r in reports:
+        print(f"{r.theorem}: {'holds' if r.holds else 'VIOLATED'} "
+              f"({len(r.violations)} violations)")
+    if not reports:
+        what = "unpreconditioned" if P is None else "preconditioned"
+        print(f"{pid}: {len(spec)} eigenvalues of the {what} operator")
     if args.eig_csv:
         spectral.write_eigenvalue_csv(spec, args.eig_csv)
     if args.report:

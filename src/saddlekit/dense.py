@@ -2,9 +2,9 @@
 
 ``require_spd`` is the one symmetry and SPD test of an operand: a sparse
 L D L^T sign test that returns the factor.  ``cholesky`` is the dense
-factor of the exact block-diagonal baseline and the scaled operator,
-``eig_general`` turns a LAPACK eigensolver failure into
-``ConvergenceFailure``, and ``norm2`` does the same for ARPACK.
+factor of the exact block-diagonal baseline (bd), ``eig_general`` turns a
+LAPACK eigensolver failure into ``ConvergenceFailure``, and ``norm2`` does
+the same for ARPACK.
 Everything else calls numpy/scipy directly.
 """
 

@@ -72,21 +72,23 @@ class GssConfig:
     s: float
 
     def __post_init__(self):
-        if self.s <= 0:
-            raise ValueError("s must be positive")
+        if not (self.s > 0 and np.isfinite(self.s)):
+            raise ValueError(f"s must be positive and finite, got {self.s}")
         if self.lambda2 is None or self.lambda3 is None:
             raise ValueError("lambda2 and lambda3 must be SPD")
         for name in ("lambda1", "lambda2", "lambda3"):
             op = getattr(self, name)
-            if _is_diagonal(op) and np.any(np.asarray(op) <= 0):
-                raise ValueError(f"{name} must be positive")
+            if _is_diagonal(op):
+                d = np.asarray(op, dtype=np.float64)
+                if not np.all((d > 0) & np.isfinite(d)):
+                    raise ValueError(f"{name} must be positive and finite")
 
     @property
     def is_pess(self):
         return self.lambda1 is not None
 
 
-def make_config(kind, sys: SaddlePointSystem = None, **params) -> GssConfig:
+def make_config(kind, **params) -> GssConfig:
     """Build the parameter set for a named variant.
 
     pess:  lambda1, lambda2, lambda3, s

@@ -129,16 +129,34 @@ def require_extreme(extremes: ScalarExtremes, name: str) -> float:
 # -- individual bound checks --------------------------------------------
 
 
+def _is_real(lam):
+    return np.abs(lam.imag) <= CLASSIFY_TOL
+
+
+def _outside(x, lo, hi):
+    """Distance of x outside [lo, hi], elementwise: positive outside,
+    non-positive inside."""
+    return np.maximum(lo - x, x - hi)
+
+
+def _report(theorem, bounds, lam, margin, bad, metadata, holds=True):
+    """BoundReport of a check on whole arrays: ``margin`` is how far each
+    eigenvalue of ``lam`` lies outside its region (<= 0 inside) and ``bad``
+    applies the check's slack and endpoints; ``holds`` carries any further
+    condition of the check."""
+    violations = tuple(zip(np.asarray(lam, dtype=np.complex128)[bad].tolist(),
+                           margin[bad].tolist()))
+    return BoundReport(theorem, bounds, holds and not violations, violations,
+                       metadata)
+
+
 def check_unit_disk(spectrum, s: float) -> BoundReport:
     """|lambda - 1| < 1: the preconditioned spectrum sits in the open unit
     disk centered at (1, 0) whenever s >= 1/2."""
     lam = np.asarray(spectrum, dtype=np.complex128)
     dist = np.abs(lam - 1.0)
-    bad = dist >= 1.0 + 1e-9
-    violations = tuple((complex(l), float(d - 1.0)) for l, d in
-                       zip(lam[bad], dist[bad]))
-    return BoundReport("unit-disk", {"center": 1.0, "radius": 1.0},
-                       not violations, violations, {"s": s})
+    return _report("unit-disk", {"center": 1.0, "radius": 1.0}, lam,
+                   dist - 1.0, dist >= 1.0 + 1e-9, {"s": s})
 
 
 def pess_real_interval(extremes: ScalarExtremes, s: float):
@@ -150,15 +168,12 @@ def pess_real_interval(extremes: ScalarExtremes, s: float):
 def check_real_interval(spectrum, extremes: ScalarExtremes, s: float) -> BoundReport:
     lo, hi = pess_real_interval(extremes, s)
     lam = np.asarray(spectrum, dtype=np.complex128)
-    real = lam[np.abs(lam.imag) <= CLASSIFY_TOL].real
-    violations = []
-    for v in real:
-        margin = max(lo - v, v - hi)
-        if v <= lo - 1e-9 or v > hi + 1e-9:
-            violations.append((complex(v), float(margin)))
-    return BoundReport("real-interval", {"lower_open": lo, "upper": hi},
-                       not violations, tuple(violations),
-                       {"s": s, "count_real": int(real.size)})
+    real = lam[_is_real(lam)].real
+    # open at lo, closed at hi
+    bad = (real <= lo - 1e-9) | (real > hi + 1e-9)
+    return _report("real-interval", {"lower_open": lo, "upper": hi}, real,
+                   _outside(real, lo, hi), bad,
+                   {"s": s, "count_real": int(real.size)})
 
 
 def mu_transform(lam, s: float):
@@ -172,11 +187,9 @@ def mu_transform(lam, s: float):
 
 def pess_nonreal_bounds(extremes: ScalarExtremes, s: float) -> dict:
     """Bound values of the two-part non-real localization."""
-    xi_max = require_extreme(extremes, "xi_max")
-    xi_min = require_extreme(extremes, "xi_min")
-    eta_max = require_extreme(extremes, "eta_max")
-    eta_min = require_extreme(extremes, "eta_min")
-    theta_max = require_extreme(extremes, "theta_max")
+    xi_max, xi_min, eta_max, eta_min, theta_max = (
+        require_extreme(extremes, k)
+        for k in ("xi_max", "xi_min", "eta_max", "eta_min", "theta_max"))
     return {
         "mod_lower": xi_min / (2.0 + s * xi_min),
         "mod_upper": np.sqrt(eta_max / (1.0 + s * xi_min + s**2 * eta_max)),
@@ -192,36 +205,23 @@ def check_pess_nonreal(spectrum, extremes: ScalarExtremes, s: float) -> BoundRep
     the mu-plane box (part 2)."""
     b = pess_nonreal_bounds(extremes, s)
     lam = np.asarray(spectrum, dtype=np.complex128)
-    nonreal = lam[np.abs(lam.imag) > CLASSIFY_TOL]
-    branch = []
-    violations = []
-    for v in nonreal:
-        part1 = (b["mod_lower"] - MEMBERSHIP_SLACK <= abs(v)
-                 <= b["mod_upper"] + MEMBERSHIP_SLACK)
-        mu = mu_transform(v, s)
-        part2 = (b["re_mu_lower"] - MEMBERSHIP_SLACK <= mu.real
-                 <= b["re_mu_upper"] + MEMBERSHIP_SLACK
-                 and abs(mu.imag) <= b["im_mu_bound"] + MEMBERSHIP_SLACK)
-        if part1 or part2:
-            branch.append((complex(v), 1 if part1 else 2))
-        else:
-            margin = min(
-                max(b["mod_lower"] - abs(v), abs(v) - b["mod_upper"]),
-                max(b["re_mu_lower"] - mu.real, mu.real - b["re_mu_upper"],
-                    abs(mu.imag) - b["im_mu_bound"]),
-            )
-            violations.append((complex(v), float(margin)))
-    return BoundReport("nonreal-disjunction", b, not violations,
-                       tuple(violations),
-                       {"s": s, "count_nonreal": int(nonreal.size),
-                        "branches": branch})
+    nonreal = lam[~_is_real(lam)]
+    mu = mu_transform(nonreal, s)
+    part1 = _outside(np.abs(nonreal), b["mod_lower"], b["mod_upper"])
+    part2 = np.maximum(_outside(mu.real, b["re_mu_lower"], b["re_mu_upper"]),
+                       np.abs(mu.imag) - b["im_mu_bound"])
+    margin = np.minimum(part1, part2)
+    bad = margin > MEMBERSHIP_SLACK
+    branch = np.where(part1 <= MEMBERSHIP_SLACK, 1, 2)
+    return _report("nonreal-disjunction", b, nonreal, margin, bad,
+                   {"s": s, "count_nonreal": int(nonreal.size),
+                    "branches": list(zip(nonreal[~bad].tolist(),
+                                         branch[~bad].tolist()))})
 
 
 def lpess_bound_values(extremes: ScalarExtremes, s: float) -> dict:
-    vmin = require_extreme(extremes, "vartheta_min")
-    vmax = require_extreme(extremes, "vartheta_max")
-    ttmin = require_extreme(extremes, "theta_tilde_min")
-    ttmax = require_extreme(extremes, "theta_tilde_max")
+    vmin, vmax, ttmin, ttmax = (require_extreme(extremes, k) for k in (
+        "vartheta_min", "vartheta_max", "theta_tilde_min", "theta_tilde_max"))
     return {
         "real_lower": min(vmin / (1.0 + s * vmin),
                           ttmin / (vmax + s * ttmin)),
@@ -247,33 +247,22 @@ def lpess_bounds(spectrum, extremes: ScalarExtremes, s: float, n: int,
     at_inv_s = np.abs(lam - 1.0 / s) <= cluster_tol
     multiplicity = int(np.count_nonzero(at_inv_s))
     rest = lam[~at_inv_s]
-    real = rest[np.abs(rest.imag) <= CLASSIFY_TOL].real
-    nonreal = rest[np.abs(rest.imag) > CLASSIFY_TOL]
-
-    violations = []
-    for v in real:
-        if (v < b["real_lower"] - MEMBERSHIP_SLACK
-                or v > b["real_upper"] + MEMBERSHIP_SLACK):
-            violations.append((complex(v),
-                               float(max(b["real_lower"] - v, v - b["real_upper"]))))
-    for v in nonreal:
-        mod_ok = (b["mod_lower"] - MEMBERSHIP_SLACK <= abs(v)
-                  <= b["mod_upper"] + MEMBERSHIP_SLACK)
-        ring = abs(v - 1.0 / s)
-        ann_ok = (b["annulus_lower"] - MEMBERSHIP_SLACK <= ring
-                  <= b["annulus_upper"] + MEMBERSHIP_SLACK)
-        if not (mod_ok and ann_ok):
-            margin = max(b["mod_lower"] - abs(v), abs(v) - b["mod_upper"],
-                         b["annulus_lower"] - ring, ring - b["annulus_upper"])
-            violations.append((complex(v), float(margin)))
-
-    holds = multiplicity >= n and not violations
-    return BoundReport(
-        "lpess", b, holds, tuple(violations),
+    real = _is_real(rest)
+    margin = np.where(
+        real, _outside(rest.real, b["real_lower"], b["real_upper"]),
+        np.maximum(_outside(np.abs(rest), b["mod_lower"], b["mod_upper"]),
+                   _outside(np.abs(rest - 1.0 / s), b["annulus_lower"],
+                            b["annulus_upper"])))
+    # a real eigenvalue is reported by its real part
+    return _report(
+        "lpess", b, np.where(real, rest.real, rest), margin,
+        margin > MEMBERSHIP_SLACK,
         {"s": s, "n": n, "multiplicity": multiplicity,
          "cluster_tol": cluster_tol,
-         "count_real": int(real.size), "count_nonreal": int(nonreal.size),
-         "theta_tilde_convention": THETA_TILDE_CONVENTION})
+         "count_real": int(np.count_nonzero(real)),
+         "count_nonreal": int(np.count_nonzero(~real)),
+         "theta_tilde_convention": THETA_TILDE_CONVENTION},
+        holds=multiplicity >= n)
 
 
 def condition_number(sys: SaddlePointSystem, precond=None) -> float:
@@ -306,8 +295,6 @@ def report_to_dict(report: BoundReport) -> dict:
     def enc(v):
         if isinstance(v, complex):
             return {"re": v.real, "im": v.imag}
-        if isinstance(v, np.floating):
-            return float(v)
         if isinstance(v, (list, tuple)):
             return [enc(x) for x in v]
         if isinstance(v, dict):
@@ -331,9 +318,9 @@ def write_spectral_report(reports, path):
 def write_eigenvalue_csv(spectrum, path):
     """Scatter data: re, im, classification (real | nonreal)."""
     lam = np.asarray(spectrum, dtype=np.complex128)
+    tags = np.where(_is_real(lam), "real", "nonreal")
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["re", "im", "classification"])
-        for v in lam:
-            tag = "real" if abs(v.imag) <= CLASSIFY_TOL else "nonreal"
-            w.writerow([repr(float(v.real)), repr(float(v.imag)), tag])
+        w.writerows(zip(map(repr, lam.real.tolist()),
+                        map(repr, lam.imag.tolist()), tags.tolist()))

@@ -11,8 +11,8 @@ below one.  When all three shifts are SPD that is equivalent to
     (2 s - 1) |mu|^2 + 2 Re(mu) > 0
 
 for every mu in eig(Sigma^{-1/2} A Sigma^{-1/2}), Sigma = diag(L1, L2, L3).
-Any s >= 1/2 therefore converges; a sufficient lower bound on s below 1/2
-follows from the extreme symmetric-part eigenvalue and the spectral radius.
+Any s >= 1/2 therefore converges; the sufficient lower bound on s is
+exactly 1/2 for this block structure (see ``sufficient_s_lower_bound``).
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .dense import ConvergenceFailure, cholesky, eig_general
+from .dense import ConvergenceFailure, eig_general, require_spd
 from .precond import GssConfig, build, sigma_matrix
 from .system import SaddlePointSystem, operator_apply, to_dense
 
@@ -79,17 +78,11 @@ def pess_iterate(sys: SaddlePointSystem, cfg: GssConfig, d, u0=None,
                             time.perf_counter() - t0, x)
 
 
-def _scaled_operator(sys, cfg):
-    """L^{-1} A L^{-T} for the Cholesky factor L of Sigma: an
-    orthogonal-factor similarity away from Sigma^{-1/2} A Sigma^{-1/2}."""
-    L = cholesky(sigma_matrix(sys, cfg).toarray()).lower
-    M = solve_triangular(L, to_dense(sys), lower=True)
-    return solve_triangular(L, M.T, lower=True).T
-
-
 def scaled_spectrum(sys: SaddlePointSystem, cfg: GssConfig) -> np.ndarray:
-    """eig(Sigma^{-1/2} A Sigma^{-1/2})."""
-    return eig_general(_scaled_operator(sys, cfg))
+    """eig(Sigma^{-1/2} A Sigma^{-1/2}), computed as eig(Sigma^{-1} A), a
+    similar matrix, with Sigma factored by ``require_spd``."""
+    return eig_general(require_spd(sigma_matrix(sys, cfg), "Sigma")
+                       .solve(to_dense(sys)))
 
 
 @dataclass(frozen=True)
@@ -118,8 +111,11 @@ def convergence_predicate(sys: SaddlePointSystem, cfg: GssConfig,
 
 def sufficient_s_lower_bound(sys: SaddlePointSystem, cfg: GssConfig) -> float:
     """max{ (1/2)(1 - lmin(Shat + Shat^T) / rho(Shat)^2), 0 } with
-    Shat = Sigma^{-1/2} A Sigma^{-1/2}; any s above this converges."""
-    M = _scaled_operator(sys, cfg)
-    lmin = float(np.linalg.eigvalsh(M + M.T)[0])
-    rho = float(np.max(np.abs(eig_general(M))))
-    return max(0.5 * (1.0 - lmin / rho**2), 0.0)
+    Shat = Sigma^{-1/2} A Sigma^{-1/2}; any s above this converges.
+
+    It is exactly 1/2: Shat + Shat^T = Sigma^{-1/2} (A + A^T) Sigma^{-1/2},
+    and A + A^T = blockdiag(2 A_11, 0, 0) as the off-diagonal blocks are
+    skew, so lmin = 0 whenever m + p >= 1 (``assemble`` rejects empty
+    blocks).  Sigma is still checked with ``require_spd``."""
+    require_spd(sigma_matrix(sys, cfg), "Sigma")
+    return 0.5

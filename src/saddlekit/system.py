@@ -94,12 +94,17 @@ def _canonical(M) -> sp.csr_matrix:
 
 
 def assemble(A, B, C) -> SaddlePointSystem:
-    """Record canonical CSR copies of the blocks after shape and
-    A-symmetry checks.
+    """Record canonical CSR copies of the blocks after emptiness, finiteness,
+    shape and A-symmetry checks.
 
     SPD and row-rank verification is deferred to ``validate``.
     """
     A, B, C = _canonical(A), _canonical(B), _canonical(C)
+    for name, M in zip("ABC", (A, B, C)):
+        if 0 in M.shape:
+            raise ValueError(f"{name} is empty (shape {M.shape})")
+        if not np.all(np.isfinite(M.data)):
+            raise ValueError(f"{name} has non-finite entries")
     n, m = A.shape[0], B.shape[0]
     if A.shape[1] != n:
         raise ValueError("A must be square")

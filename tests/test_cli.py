@@ -111,6 +111,15 @@ def test_spectrum_baseline_kind(capsys):
     assert "unit-disk" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("kind,what", [("none", "unpreconditioned"),
+                                       ("bd", "preconditioned")])
+def test_spectrum_eigenvalue_count(kind, what, capsys):
+    rc = main(["spectrum", *GEN, "--precond", kind])
+    assert rc == EXIT_OK
+    out = capsys.readouterr().out
+    assert out == f"gen-l3: 36 eigenvalues of the {what} operator\n"
+
+
 def test_sweep_s_flow(tmp_path, capsys):
     report = tmp_path / "sweep.csv"
     rc = main(["sweep-s", *GEN, "--precond", "pess", "--case", "I",
@@ -272,15 +281,44 @@ def test_usage_errors(tmp_path):
     assert main(["--help"]) == 0
 
 
-def test_indefinite_load_is_a_usage_error(tmp_path, capsys):
-    blocks = {"A": -np.eye(4), "B": np.eye(2, 4), "C": np.ones((1, 2))}
+def write_blocks(tmp_path, blocks):
+    """Matrix Market files of the blocks; returns their paths."""
     paths = []
     for name, M in blocks.items():
         path = tmp_path / f"{name}.mtx"
         write_matrix_market(sp.csr_matrix(M), path)
         paths.append(str(path))
-    rc = main(["solve", "--load", *paths, "--precond", "bd"])
+    return paths
+
+
+def test_indefinite_load_is_a_usage_error(tmp_path, capsys):
+    blocks = {"A": -np.eye(4), "B": np.eye(2, 4), "C": np.ones((1, 2))}
+    rc = main(["solve", "--load", *write_blocks(tmp_path, blocks),
+               "--precond", "bd"])
     assert rc == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_non_finite_load_names_the_block(tmp_path, capsys):
+    B = np.eye(2, 4)
+    B[0, 0] = np.nan
+    blocks = {"A": np.eye(4), "B": B, "C": np.ones((1, 2))}
+    rc = main(["solve", "--load", *write_blocks(tmp_path, blocks),
+               "--precond", "pess"])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "error: failed to load system: B has non-finite entries\n"
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--precond", "pess", "--s", "nan"], "s must be positive and finite"),
+    (["--precond", "pess", "--s", "inf"], "s must be positive and finite"),
+    (["--precond", "ss", "--alpha", "nan"], "lambda1 must be positive"),
+    (["--precond", "lpess", "--lambda3-coef", "nan"],
+     "lambda3 must be positive"),
+])
+def test_non_finite_parameters_are_usage_errors(flags, message, capsys):
+    assert main(["solve", *GEN, *flags]) == EXIT_USAGE
+    assert message in capsys.readouterr().err

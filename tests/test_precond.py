@@ -44,6 +44,18 @@ def test_config_validation():
         GssConfig(1.0, -0.5, 1e-3, s=2.0)
     with pytest.raises(ValueError):
         GssConfig(1.0, 0.0, 1e-3, s=2.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^s must be positive and finite"):
+            GssConfig(1.0, 1.0, 1e-3, s=bad)
+        for k in range(3):
+            shifts = [1.0, 1.0, 1e-3]
+            shifts[k] = bad
+            with pytest.raises(ValueError, match=f"^lambda{k + 1} must be"):
+                GssConfig(*shifts, s=2.0)
+        with pytest.raises(ValueError, match="^lambda2 must be"):
+            GssConfig(1.0, np.array([1.0, bad]), 1e-3, s=2.0)
+    with pytest.raises(ValueError, match="^lambda1 must be"):
+        make_config("ss", alpha=np.nan)
 
 
 def test_is_pess_property():

@@ -18,8 +18,8 @@ from saddlekit.spectral import (InapplicableBound, check_pess_nonreal,
                                 lpess_bounds, mu_transform,
                                 pess_nonreal_bounds, pess_real_interval,
                                 preconditioned_spectrum, report_to_dict,
-                                scalar_extremes, write_eigenvalue_csv,
-                                write_spectral_report)
+                                ScalarExtremes, scalar_extremes,
+                                write_eigenvalue_csv, write_spectral_report)
 from saddlekit.system import assemble, to_dense
 
 from conftest import arpack_fails, random_system
@@ -124,7 +124,6 @@ def test_mu_transform_inverse():
 
 
 def test_lpess_bound_values_formulas():
-    from saddlekit.spectral import ScalarExtremes
     ex = ScalarExtremes(vartheta_min=0.1, vartheta_max=1.0,
                         theta_tilde_min=0.5, theta_tilde_max=2.0)
     s = 4.0
@@ -177,6 +176,86 @@ def test_lpess_localization_on_random_systems(seed):
     assert rep.holds, (rep.violations, rep.metadata)
     assert rep.metadata["multiplicity"] >= sysv.n
     assert rep.metadata["theta_tilde_convention"]
+
+
+# -- planted violations ------------------------------------------------------
+
+
+def assert_only_violation(rep, planted):
+    """The check fails and reports exactly ``planted``, outside by a
+    positive margin."""
+    assert not rep.holds
+    assert [v for v, _ in rep.violations] == [planted]
+    assert rep.violations[0][1] > 0
+
+
+@pytest.fixture(scope="module")
+def pess_case(small_system):
+    s = 2.0
+    cfg = pess_cfg(s)
+    spec = preconditioned_spectrum(small_system, build(small_system, cfg))
+    return spec, scalar_extremes(small_system, cfg), s
+
+
+@pytest.fixture(scope="module")
+def lpess_case(small_system):
+    s = 2.0
+    cfg = lpess_cfg(s)
+    spec = preconditioned_spectrum(small_system, build(small_system, cfg))
+    return spec, scalar_extremes(small_system, cfg), s
+
+
+def test_unit_disk_planted_violation(pess_case):
+    spec, _, s = pess_case
+    assert check_unit_disk(spec, s).holds
+    rep = check_unit_disk(np.r_[spec, 2.5], s)
+    assert_only_violation(rep, 2.5)
+    assert rep.violations[0][1] == pytest.approx(0.5)
+
+
+def test_real_interval_planted_violations(pess_case):
+    spec, ex, s = pess_case
+    assert check_real_interval(spec, ex, s).holds
+    hi = pess_real_interval(ex, s)[1]
+    rep = check_real_interval(np.r_[spec, hi + 0.1], ex, s)
+    assert_only_violation(rep, hi + 0.1)
+    assert rep.violations[0][1] == pytest.approx(0.1)
+    # the lower endpoint 0 is open
+    rep = check_real_interval(np.r_[spec, -0.25], ex, s)
+    assert_only_violation(rep, -0.25)
+    assert rep.violations[0][1] == pytest.approx(0.25)
+
+
+def test_pess_nonreal_planted_violation(pess_case):
+    spec, ex, s = pess_case
+    base = check_pess_nonreal(spec, ex, s)
+    assert base.holds
+    planted = 3.0 + 3.0j
+    rep = check_pess_nonreal(np.r_[spec, planted], ex, s)
+    assert_only_violation(rep, planted)
+    assert rep.metadata["count_nonreal"] == base.metadata["count_nonreal"] + 1
+    assert rep.metadata["branches"] == base.metadata["branches"]
+
+
+def test_lpess_planted_violations(lpess_case, small_system):
+    spec, ex, s = lpess_case
+    n = small_system.n
+    assert lpess_bounds(spec, ex, s, n, cluster_tol=1e-6).holds
+    b = lpess_bound_values(ex, s)
+    for planted in (b["real_upper"] + 0.05, 2.0 + 2.0j):
+        rep = lpess_bounds(np.r_[spec, planted], ex, s, n, cluster_tol=1e-6)
+        assert_only_violation(rep, planted)
+        assert rep.metadata["multiplicity"] >= n
+
+
+def test_lpess_cluster_too_small(lpess_case, small_system):
+    spec, ex, s = lpess_case
+    n = small_system.n
+    rest = spec[np.abs(spec - 1.0 / s) > 1e-6]
+    rep = lpess_bounds(np.r_[rest, np.full(n - 1, 1.0 / s)], ex, s, n,
+                       cluster_tol=1e-6)
+    assert rep.metadata["multiplicity"] == n - 1
+    assert not rep.holds and rep.violations == ()
 
 
 # -- condition number --------------------------------------------------------

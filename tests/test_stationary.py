@@ -4,11 +4,12 @@ criterion and against the closed-form predicate on the scaled spectrum."""
 import numpy as np
 import pytest
 
-from saddlekit.precond import build, make_config
+from saddlekit.precond import build, make_config, sigma_matrix
+from saddlekit.problems import case_preset, example1
 from saddlekit.stationary import (Diverged, convergence_predicate,
                                   pess_iterate, scaled_spectrum,
                                   sufficient_s_lower_bound)
-from saddlekit.system import rhs_for_ones
+from saddlekit.system import rhs_for_ones, to_dense
 
 from conftest import iteration_matrix_radius, random_system
 
@@ -125,3 +126,30 @@ def test_sufficient_bound_guarantees_convergence(small_system):
     rho = iteration_matrix_radius(small_system,
                                   build(small_system, pess_cfg(s)))
     assert pred.holds and rho < 1.0
+
+
+def dense_sufficient_bound(sys, cfg):
+    """The bound formula on dense matrices: Shat = L^{-1} A L^{-T} for the
+    Cholesky factor L of Sigma."""
+    L = np.linalg.cholesky(sigma_matrix(sys, cfg).toarray())
+    Linv = np.linalg.inv(L)
+    M = Linv @ to_dense(sys) @ Linv.T
+    lmin = np.linalg.eigvalsh(M + M.T)[0]
+    rho = np.max(np.abs(np.linalg.eigvals(M)))
+    return max(0.5 * (1.0 - lmin / rho**2), 0.0)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sufficient_bound_matches_dense_formula(seed):
+    sysv = random_system(np.random.default_rng(300 + seed), n=10, m=6, p=4)
+    cfg = pess_cfg([0.3, 1.0, 2.0][seed % 3])
+    assert sufficient_s_lower_bound(sysv, cfg) == pytest.approx(
+        dense_sufficient_bound(sysv, cfg), abs=1e-12)
+
+
+@pytest.mark.parametrize("case", ["I", "II"])
+def test_sufficient_bound_matches_dense_formula_example1(case):
+    sysv = example1(3)
+    cfg = case_preset(case, sysv, s=1.0)
+    assert sufficient_s_lower_bound(sysv, cfg) == pytest.approx(
+        dense_sufficient_bound(sysv, cfg), abs=1e-12)

@@ -106,6 +106,24 @@ def test_assemble_rejects_asymmetric_a(rng):
                  sp.csr_matrix(rng.standard_normal((2, 2))))
 
 
+@pytest.mark.parametrize("name", ["A", "B", "C"])
+def test_assemble_rejects_empty_block(name):
+    n, m, p = (0 if name == k else d for k, d in zip("ABC", (4, 2, 1)))
+    blocks = [sp.identity(n), sp.csr_matrix(np.eye(m, n)),
+              sp.csr_matrix(np.ones((p, m)))]
+    with pytest.raises(ValueError, match=f"^{name} is empty"):
+        assemble(*blocks)
+
+
+@pytest.mark.parametrize("name", ["A", "B", "C"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_assemble_rejects_non_finite_entries(name, bad):
+    blocks = {"A": np.eye(4), "B": np.eye(2, 4), "C": np.ones((1, 2))}
+    blocks[name][0, 0] = bad
+    with pytest.raises(ValueError, match=f"^{name} has non-finite entries"):
+        assemble(*(sp.csr_matrix(M) for M in blocks.values()))
+
+
 def test_operator_apply_matches_dense(small_system, rng):
     M = dense_operator(small_system)
     u = rng.standard_normal(small_system.size)
