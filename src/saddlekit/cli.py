@@ -24,7 +24,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NOCONV = 2
 
-PRECOND_KINDS = ("none", "pess", "lpess", "ss", "rss", "egss", "rpgss", "bd")
+PRECOND_KINDS = ("none", *precond.KINDS, "bd")
 
 
 class CliError(Exception):
@@ -57,7 +57,7 @@ def _add_precond_args(p, kinds=PRECOND_KINDS):
     p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--gamma", type=float, default=0.001)
-    p.add_argument("--lambda3-coef", type=float, default=None,
+    p.add_argument("--lambda3-coef", type=float, default=0.001,
                    help="coefficient of the case preset's third shift "
                         "(default 0.001)")
 
@@ -139,40 +139,19 @@ def _make_precond(kind, sys_, args):
         return None, {}
     if kind == "bd":
         return precond.build_bd(sys_), {}
-    coef = args.lambda3_coef
+    # pess/lpess take the case preset (P, Q, coef*W); the half-shift kinds
+    # scale the same operands by their coefficients
+    P, Q, W = problems.case_operands(args.case, sys_)
+    cfg = precond.make_config(kind, lambda1=P, lambda2=Q,
+                              lambda3=args.lambda3_coef * W, s=args.s,
+                              alpha=args.alpha, beta=args.beta,
+                              gamma=args.gamma, P=P, Q=Q, W=W)
     if kind in ("pess", "lpess"):
-        base = problems.case_preset(args.case, sys_, s=args.s,
-                                    lambda3_coef=coef)
-        if kind == "lpess":
-            cfg = precond.make_config("lpess", lambda2=base.lambda2,
-                                      lambda3=base.lambda3, s=args.s)
-        else:
-            cfg = base
         meta = {"case": args.case, "s": args.s}
-    elif kind == "ss":
-        cfg = precond.make_config("ss", alpha=args.alpha)
-        meta = {"alpha": args.alpha}
-    elif kind == "rss":
-        cfg = precond.make_config("rss", alpha=args.alpha)
-        meta = {"alpha": args.alpha}
-    elif kind in ("egss", "rpgss"):
-        # Case I pairs the scalars with identity operands; Case II with
-        # P = A, Q = I, W = C C^T
-        if args.case == "II":
-            ops = {"P": sys_.A, "Q": 1.0, "W": sys_.C @ sys_.C.T}
-        else:
-            ops = {}
-        if kind == "egss":
-            cfg = precond.make_config("egss", alpha=args.alpha,
-                                      beta=args.beta, gamma=args.gamma, **ops)
-            meta = {"case": args.case, "alpha": args.alpha,
-                    "beta": args.beta, "gamma": args.gamma}
-        else:
-            ops.pop("P", None)
-            cfg = precond.make_config("rpgss", beta=args.beta,
-                                      gamma=args.gamma, **ops)
-            meta = {"case": args.case, "beta": args.beta,
-                    "gamma": args.gamma}
+    else:
+        coefs, _, reads_operands = precond.HALF_SHIFTS[kind]
+        meta = {"case": args.case} if reads_operands else {}
+        meta.update((c, getattr(args, c)) for c in coefs if c)
     return precond.build(sys_, cfg), meta
 
 
@@ -312,7 +291,8 @@ def cmd_sensitivity(args):
 
 def cmd_params(args):
     sys_, pid = _make_system(args)
-    lam3 = problems.case_preset("II", sys_, s=1.0, lambda3_coef=1e-4).lambda3
+    A, _, W = problems.case_operands("II", sys_)
+    lam3 = 1e-4 * W
     est = params.estimate_params(sys_, lam3)
     print(f"s_est={est.s_est:.6g} beta_est={est.beta_est:.6g}")
     for k, v in est.norms.items():
@@ -324,11 +304,9 @@ def cmd_params(args):
         for s in (float(t) for t in args.phi_grid.split(",") if t.strip()):
             print(f"  phi({s:g}) = {params.phi(sys_, cfg, s):.8e}")
     if args.preset:
-        if args.preset == "pess-II":
-            cfg = precond.GssConfig(sys_.A, est.beta_est, lam3, s=est.s_est)
-        else:
-            cfg = precond.make_config("lpess", lambda2=est.beta_est,
-                                      lambda3=lam3, s=est.s_est)
+        cfg = precond.make_config(args.preset.removesuffix("-II"),
+                                  lambda1=A, lambda2=est.beta_est,
+                                  lambda3=lam3, s=est.s_est)
         _, record = _solve_with(args.preset, precond.build(sys_, cfg), {},
                                 sys_, pid, args)
         print(f"{args.preset} it={record.it} "

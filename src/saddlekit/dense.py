@@ -32,14 +32,17 @@ class ConvergenceFailure(Exception):
 
 
 def require_spd(M, what):
-    """Return the SuperLU factor of M after checking that it is symmetric
-    (ValueError) and positive definite (NotPositiveDefinite).
+    """Return the SuperLU factor of M after checking that its entries are
+    finite and it is symmetric (ValueError) and positive definite
+    (NotPositiveDefinite).
 
     M (dense or sparse) is factored as L D L^T by symmetric-mode SuperLU:
     same row and column order, no off-diagonal pivoting.  It is SPD iff
     that order held and every pivot of D is positive.
     """
     M = sp.csc_matrix(M, dtype=np.float64)
+    if not np.all(np.isfinite(M.data)):
+        raise ValueError(f"{what} has non-finite entries")
     scale = max(abs(M).max(), 1e-300)
     if abs(M - M.T).max() > 1e-12 * scale:
         raise ValueError(f"{what} is not symmetric within 1e-12 relative")

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .dense import norm2, require_spd
-from .precond import GssConfig, operand_sparse, sigma_matrix
+from .precond import GssConfig, operand_sparse, sigma_matrix, stored_shift
 from .system import SaddlePointSystem
 
 
@@ -59,7 +59,8 @@ class ParamEstimate:
 def estimate_params(sys: SaddlePointSystem, lambda3) -> ParamEstimate:
     """Balancing estimates from four 2-norms: A, B, C^T L3^{-1} C, and the
     resulting L2 = beta_est I (whose 2-norm is beta_est itself)."""
-    lam3_lu = require_spd(operand_sparse(lambda3, sys.p), "lambda3")
+    lam3_lu = require_spd(
+        operand_sparse(stored_shift(lambda3, "lambda3"), sys.p), "lambda3")
     A, B, C = sys.A, sys.B, sys.C
     # ARPACK fails on a zero operator (canonical blocks store no zeros) and
     # needs an order of at least 2

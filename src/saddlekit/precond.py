@@ -28,39 +28,46 @@ from .dense import (CholeskyFactor, Singular, cholesky, cholesky_solve,
                     require_spd)
 from .system import SaddlePointSystem
 
-KINDS = ("pess", "lpess", "ss", "rss", "egss", "rpgss")
-
 
 # -- shift operands ---------------------------------------------------
 # A shift may be given as None (absent), a positive scalar (multiple of the
 # identity), a 1-d array (diagonal), any scipy sparse matrix, or a dense
-# 2-d array.
+# 2-d array.  GssConfig stores it as None, a float c meaning c*I, or a CSC
+# matrix (a diagonal as sp.diags).
+
+
+def stored_shift(op, name):
+    """The stored form of a shift operand: None, a float or a CSC matrix.
+    Rejects non-finite entries in every form and a non-positive scalar or
+    diagonal, naming the shift."""
+    if op is None:
+        return None
+    if sp.issparse(op) or np.ndim(op) == 2:
+        op = sp.csc_matrix(op, dtype=np.float64)
+        if not np.all(np.isfinite(op.data)):
+            raise ValueError(f"{name} has non-finite entries")
+        return op
+    d = np.asarray(op, dtype=np.float64)
+    if not np.all((d > 0) & np.isfinite(d)):
+        raise ValueError(f"{name} must be positive and finite")
+    return float(d) if d.ndim == 0 else sp.diags(d, format="csc")
 
 
 def operand_sparse(op, dim):
-    """The shift operand as a dim x dim scipy CSC block (zero when absent)."""
+    """A stored shift as a dim x dim scipy CSC block (zero when absent)."""
     if op is None:
         return sp.csc_matrix((dim, dim))
-    if np.isscalar(op):
-        return float(op) * sp.identity(dim, format="csc")
-    if not sp.issparse(op):
-        op = np.asarray(op, dtype=np.float64)
-        if op.ndim == 1:
-            if op.shape[0] != dim:
-                raise ValueError("diagonal shift operand dimension mismatch")
-            return sp.diags(op, format="csc")
+    if isinstance(op, float):
+        return op * sp.identity(dim, format="csc")
     if op.shape != (dim, dim):
         raise ValueError("shift operand dimension mismatch")
-    return sp.csc_matrix(op, dtype=np.float64)
-
-
-def _is_diagonal(op):
-    return np.isscalar(op) or np.ndim(op) == 1
+    return op
 
 
 @dataclass(frozen=True)
 class GssConfig:
-    """Shift-splitting parameter set (L1, L2, L3, s).
+    """Shift-splitting parameter set (L1, L2, L3, s), each shift in its
+    stored form (see ``stored_shift``).
 
     ``lambda1 is None`` encodes the relaxed variants that drop the (1,1)
     shift entirely.
@@ -77,15 +84,25 @@ class GssConfig:
         if self.lambda2 is None or self.lambda3 is None:
             raise ValueError("lambda2 and lambda3 must be SPD")
         for name in ("lambda1", "lambda2", "lambda3"):
-            op = getattr(self, name)
-            if _is_diagonal(op):
-                d = np.asarray(op, dtype=np.float64)
-                if not np.all((d > 0) & np.isfinite(d)):
-                    raise ValueError(f"{name} must be positive and finite")
+            object.__setattr__(self, name,
+                               stored_shift(getattr(self, name), name))
 
     @property
     def is_pess(self):
         return self.lambda1 is not None
+
+
+# The half-shift baselines P = s*(D + A), D = blockdiag(coef_k * operand_k),
+# are P = Sigma + s*A with shift k = s * coef_k * operand_k.  Entry, kind:
+# (coefficient name of L1, L2, L3, or None when absent; s; whether the kind
+# reads the operands P, Q, W, each 1.0 unless given).
+HALF_SHIFTS = {
+    "ss": (("alpha", "alpha", "alpha"), 0.5, False),
+    "rss": ((None, "alpha", "alpha"), 0.5, False),
+    "egss": (("alpha", "beta", "gamma"), 0.5, True),
+    "rpgss": ((None, "beta", "gamma"), 1.0, True),
+}
+KINDS = ("pess", "lpess", *HALF_SHIFTS)
 
 
 def make_config(kind, **params) -> GssConfig:
@@ -93,54 +110,26 @@ def make_config(kind, **params) -> GssConfig:
 
     pess:  lambda1, lambda2, lambda3, s
     lpess: lambda2, lambda3, s                    (no lambda1)
-    ss:    alpha, s_half prefactors folded        ((a/2)I shifts, s = 1/2)
-    rss:   alpha                                  (no lambda1)
-    egss:  alpha, beta, gamma, P, Q, W            ((a/2)P, (b/2)Q, (g/2)W)
-    rpgss: beta, gamma, Q, W                      (no lambda1, s = 1)
+    ss, rss, egss, rpgss: their coefficients in ``HALF_SHIFTS``; egss and
+    rpgss also take the operands P, Q, W (default 1.0)
     """
     kind = kind.lower()
     if kind not in KINDS:
         raise ValueError(f"unknown preconditioner kind {kind!r}")
-    if kind == "pess":
-        return GssConfig(params["lambda1"], params["lambda2"], params["lambda3"],
+    if kind in ("pess", "lpess"):
+        return GssConfig(params["lambda1"] if kind == "pess" else None,
+                         params["lambda2"], params["lambda3"],
                          s=float(params["s"]))
-    if kind == "lpess":
-        return GssConfig(None, params["lambda2"], params["lambda3"],
-                         s=float(params["s"]))
-    if kind == "ss":
-        a = float(params["alpha"])
-        if a <= 0:
-            raise ValueError("alpha must be positive")
-        return GssConfig(a / 2, a / 2, a / 2, s=0.5)
-    if kind == "rss":
-        a = float(params["alpha"])
-        if a <= 0:
-            raise ValueError("alpha must be positive")
-        return GssConfig(None, a / 2, a / 2, s=0.5)
-    if kind == "egss":
-        a, b, g = (float(params[k]) for k in ("alpha", "beta", "gamma"))
-        if min(a, b, g) <= 0:
-            raise ValueError("alpha, beta, gamma must be positive")
-        P = params.get("P", 1.0)
-        Q = params.get("Q", 1.0)
-        W = params.get("W", 1.0)
-        return GssConfig(_scaled(a / 2, P), _scaled(b / 2, Q), _scaled(g / 2, W),
-                         s=0.5)
-    # rpgss
-    b, g = float(params["beta"]), float(params["gamma"])
-    if min(b, g) <= 0:
-        raise ValueError("beta and gamma must be positive")
-    Q = params.get("Q", 1.0)
-    W = params.get("W", 1.0)
-    return GssConfig(None, _scaled(b, Q), _scaled(g, W), s=1.0)
-
-
-def _scaled(coef, op):
-    if np.isscalar(op):
-        return coef * float(op)
-    if sp.issparse(op):
-        return coef * op
-    return coef * np.asarray(op, dtype=np.float64)
+    coefs, s, reads_operands = HALF_SHIFTS[kind]
+    values = {}
+    for name in filter(None, coefs):
+        values[name] = float(params[name])
+        if not (values[name] > 0 and np.isfinite(values[name])):
+            raise ValueError(f"{name} must be positive and finite")
+    operands = ([params.get(k, 1.0) for k in ("P", "Q", "W")]
+                if reads_operands else [1.0] * 3)
+    return GssConfig(*(None if c is None else s * values[c] * op
+                       for c, op in zip(coefs, operands)), s=s)
 
 
 # -- build and apply ---------------------------------------------------

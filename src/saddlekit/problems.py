@@ -48,9 +48,21 @@ def example1(l: int) -> SaddlePointSystem:
     return assemble(A, B, C)
 
 
+def case_operands(case: str, sys: SaddlePointSystem):
+    """The operands (P, Q, W) of the two shift cases: (1, 1, 1) for Case I
+    and (A, 1, C C^T) for Case II."""
+    case = case.upper().replace("CASE", "").strip()
+    if case not in ("I", "II"):
+        raise ValueError("case must be 'I' or 'II'")
+    if case == "I":
+        return 1.0, 1.0, 1.0
+    return sys.A, 1.0, sys.C @ sys.C.T
+
+
 def case_preset(case: str, sys: SaddlePointSystem, s: float,
                 lambda3_coef: float = None) -> GssConfig:
-    """The two shift presets used throughout the experiments.
+    """The two shift presets used throughout the experiments,
+    (L1, L2, L3) = (P, Q, 0.001 W) from ``case_operands``:
 
     Case I:  L1 = I,  L2 = I,  L3 = 0.001 I
     Case II: L1 = A,  L2 = I,  L3 = 0.001 C C^T
@@ -58,13 +70,9 @@ def case_preset(case: str, sys: SaddlePointSystem, s: float,
     ``lambda3_coef`` overrides the 0.001 coefficient (some parameter-strategy
     runs use 1e-4 instead).
     """
-    case = case.upper().replace("CASE", "").strip()
-    if case not in ("I", "II"):
-        raise ValueError("case must be 'I' or 'II'")
+    P, Q, W = case_operands(case, sys)
     coef = 0.001 if lambda3_coef is None else float(lambda3_coef)
-    if case == "I":
-        return GssConfig(1.0, 1.0, coef, s=float(s))
-    return GssConfig(sys.A, 1.0, coef * (sys.C @ sys.C.T), s=float(s))
+    return GssConfig(P, Q, coef * W, s=float(s))
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import ConvergenceFailure, eig_general, require_spd
+from .dense import ConvergenceFailure, require_spd
 from .precond import GssConfig, build, sigma_matrix
-from .system import SaddlePointSystem, operator_apply, to_dense
+from .spectral import preconditioned_spectrum
+from .system import SaddlePointSystem, operator_apply
 
 DIVERGENCE_THRESHOLD = 1e12
 
@@ -81,8 +82,8 @@ def pess_iterate(sys: SaddlePointSystem, cfg: GssConfig, d, u0=None,
 def scaled_spectrum(sys: SaddlePointSystem, cfg: GssConfig) -> np.ndarray:
     """eig(Sigma^{-1/2} A Sigma^{-1/2}), computed as eig(Sigma^{-1} A), a
     similar matrix, with Sigma factored by ``require_spd``."""
-    return eig_general(require_spd(sigma_matrix(sys, cfg), "Sigma")
-                       .solve(to_dense(sys)))
+    return preconditioned_spectrum(
+        sys, require_spd(sigma_matrix(sys, cfg), "Sigma").solve)
 
 
 @dataclass(frozen=True)

@@ -315,9 +315,17 @@ def test_non_finite_load_names_the_block(tmp_path, capsys):
 @pytest.mark.parametrize("flags,message", [
     (["--precond", "pess", "--s", "nan"], "s must be positive and finite"),
     (["--precond", "pess", "--s", "inf"], "s must be positive and finite"),
-    (["--precond", "ss", "--alpha", "nan"], "lambda1 must be positive"),
+    (["--precond", "ss", "--alpha", "nan"], "alpha must be positive"),
     (["--precond", "lpess", "--lambda3-coef", "nan"],
      "lambda3 must be positive"),
+    (["--precond", "lpess", "--case", "II", "--lambda3-coef", "nan"],
+     "lambda3 has non-finite entries"),
+    (["--precond", "pess", "--case", "II", "--lambda3-coef", "inf"],
+     "lambda3 has non-finite entries"),
+    (["--precond", "egss", "--case", "II", "--alpha", "nan"],
+     "alpha must be positive"),
+    (["--precond", "rpgss", "--case", "II", "--gamma", "inf"],
+     "gamma must be positive"),
 ])
 def test_non_finite_parameters_are_usage_errors(flags, message, capsys):
     assert main(["solve", *GEN, *flags]) == EXIT_USAGE

@@ -1,11 +1,12 @@
-"""Dense kernels: the Cholesky SPD test and solves, and the general
-eigensolver."""
+"""Dense kernels: the Cholesky SPD test and solves, the sparse SPD check,
+and the general eigensolver."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from saddlekit.dense import (NotPositiveDefinite, cholesky, cholesky_solve,
-                             eig_general)
+                             eig_general, require_spd)
 
 from conftest import random_spd
 
@@ -51,3 +52,9 @@ def test_eig_general_rotation():
     assert np.allclose(spec.real, 0.0)
     assert np.allclose(sorted(spec.imag), [-1.0, 1.0])
 
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf])
+def test_require_spd_rejects_non_finite_entries(bad):
+    # neither an inf diagonal passes as SPD nor NaN reads as "singular"
+    with pytest.raises(ValueError, match="^X has non-finite entries$"):
+        require_spd(sp.csc_matrix([[bad, 0.0], [0.0, 1.0]]), "X")

@@ -9,7 +9,7 @@ from saddlekit.dense import NotPositiveDefinite, Singular
 from saddlekit.gmres import gmres, true_residual
 from saddlekit.precond import (KINDS, GssConfig, build, build_bd,
                                make_config, splitting_residual)
-from saddlekit.problems import case_preset, example1
+from saddlekit.problems import case_operands, case_preset, example1
 from saddlekit.system import rhs_for_ones
 
 from conftest import random_system
@@ -54,7 +54,7 @@ def test_config_validation():
                 GssConfig(*shifts, s=2.0)
         with pytest.raises(ValueError, match="^lambda2 must be"):
             GssConfig(1.0, np.array([1.0, bad]), 1e-3, s=2.0)
-    with pytest.raises(ValueError, match="^lambda1 must be"):
+    with pytest.raises(ValueError, match="^alpha must be"):
         make_config("ss", alpha=np.nan)
 
 
@@ -143,20 +143,39 @@ def test_case_presets_converge_at_l64():
         assert true_residual(sysv, rep.solution, d) < 1e-6
 
 
-@pytest.mark.parametrize("kind", ["pess", "lpess"])
-def test_case_ii_matrix_matches_block_oracle(kind):
+# ids: the bare kind for Case II, "<kind>-I" for Case I
+@pytest.mark.parametrize("kind,case", [
+    *(pytest.param(k, "II", id=k) for k in KINDS),
+    *(pytest.param(k, "I", id=f"{k}-I") for k in KINDS)])
+def test_case_ii_matrix_matches_block_oracle(kind, case):
+    """P.matrix equals its explicit blocks bit for bit: each half-shift
+    kind folds s * coefficient * operand, and ss/rss read no operands."""
     sysv = example1(3)
-    s = 12.0
-    cfg = case_preset("II", sysv, s=s)
-    if kind == "lpess":
-        cfg = make_config("lpess", lambda2=cfg.lambda2, lambda3=cfg.lambda3,
-                          s=s)
+    s, alpha, beta, gamma = 12.0, 0.1, 1.0, 0.001
+    if kind in ("pess", "lpess"):
+        cfg = case_preset(case, sysv, s=s)
+        if kind == "lpess":
+            cfg = make_config("lpess", lambda2=cfg.lambda2,
+                              lambda3=cfg.lambda3, s=s)
+    else:
+        cfg = make_config(kind, alpha=alpha, beta=beta, gamma=gamma,
+                          **dict(zip("PQW", case_operands(case, sysv))))
     A, B, C = sysv.A.toarray(), sysv.B.toarray(), sysv.C.toarray()
     n, m, p = A.shape[0], B.shape[0], C.shape[0]
-    L1 = A if kind == "pess" else np.zeros((n, n))
+    In, Im, Ip = np.eye(n), np.eye(m), np.eye(p)
+    P, Q, W = (A, Im, C @ C.T) if case == "II" else (In, Im, Ip)
+    L1, L2, L3, s = {
+        "pess": (P, Q, 0.001 * W, s),
+        "lpess": (0 * In, Q, 0.001 * W, s),
+        "ss": (0.5 * alpha * In, 0.5 * alpha * Im, 0.5 * alpha * Ip, 0.5),
+        "rss": (0 * In, 0.5 * alpha * Im, 0.5 * alpha * Ip, 0.5),
+        "egss": (0.5 * alpha * P, 0.5 * beta * Q, 0.5 * gamma * W, 0.5),
+        "rpgss": (0 * In, beta * Q, gamma * W, 1.0),
+    }[kind]
     want = np.block([[L1 + s * A, s * B.T, np.zeros((n, p))],
-                     [-s * B, np.eye(m), -s * C.T],
-                     [np.zeros((p, n)), s * C, 0.001 * (C @ C.T)]])
+                     [-s * B, L2, -s * C.T],
+                     [np.zeros((p, n)), s * C, L3]])
+    assert cfg.s == s
     assert np.array_equal(build(sysv, cfg).matrix.toarray(), want)
 
 
