@@ -139,16 +139,17 @@ def _make_precond(kind, sys_, args):
         return None, {}
     if kind == "bd":
         return precond.build_bd(sys_), {}
-    # pess/lpess take the case preset (P, Q, coef*W); the half-shift kinds
-    # scale the same operands by their coefficients
-    P, Q, W = problems.case_operands(args.case, sys_)
-    cfg = precond.make_config(kind, lambda1=P, lambda2=Q,
-                              lambda3=args.lambda3_coef * W, s=args.s,
-                              alpha=args.alpha, beta=args.beta,
-                              gamma=args.gamma, P=P, Q=Q, W=W)
     if kind in ("pess", "lpess"):
+        # the case preset (P, Q, coef*W), without L1 for lpess
+        cfg = problems.case_preset(args.case, sys_, args.s, args.lambda3_coef)
+        if kind == "lpess":
+            cfg = dataclasses.replace(cfg, lambda1=None)
         meta = {"case": args.case, "s": args.s}
     else:
+        # the half-shift kinds scale the case operands by their coefficients
+        P, Q, W = problems.case_operands(args.case, sys_)
+        cfg = precond.make_config(kind, alpha=args.alpha, beta=args.beta,
+                                  gamma=args.gamma, P=P, Q=Q, W=W)
         coefs, _, reads_operands = precond.HALF_SHIFTS[kind]
         meta = {"case": args.case} if reads_operands else {}
         meta.update((c, getattr(args, c)) for c in coefs if c)

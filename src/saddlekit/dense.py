@@ -2,7 +2,8 @@
 
 ``require_spd`` is the one symmetry and SPD test of an operand: a sparse
 L D L^T sign test that returns the factor.  ``cholesky`` is the dense
-factor of the exact block-diagonal baseline (bd), ``eig_general`` turns a
+factor of the two dense Schur blocks of the exact block-diagonal baseline
+(bd), S = B A^{-1} B^T and X = C S^{-1} C^T; ``eig_general`` turns a
 LAPACK eigensolver failure into ``ConvergenceFailure``, and ``norm2`` does
 the same for ARPACK.
 Everything else calls numpy/scipy directly.
@@ -56,16 +57,6 @@ def require_spd(M, what):
     return lu
 
 
-def _require_symmetric(S, tol=1e-12):
-    S = np.ascontiguousarray(S, dtype=np.float64)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise ValueError("matrix must be square")
-    scale = max(np.abs(S).max(initial=0.0), 1e-300)
-    if np.abs(S - S.T).max(initial=0.0) > tol * scale:
-        raise ValueError(f"matrix is not symmetric within {tol} relative")
-    return S
-
-
 @dataclass(frozen=True)
 class CholeskyFactor:
     """Lower Cholesky factor L with S = L L^T."""
@@ -77,12 +68,20 @@ class CholeskyFactor:
         return self.lower.shape[0]
 
 
-def cholesky(S) -> CholeskyFactor:
-    S = _require_symmetric(S)
+def cholesky(S, what) -> CholeskyFactor:
+    """Dense Cholesky factor of S after checking that it is square and
+    symmetric (ValueError) and positive definite (NotPositiveDefinite),
+    each error naming ``what``."""
+    S = np.asarray(S, dtype=np.float64)
+    if S.ndim != 2 or S.shape[0] != S.shape[1]:
+        raise ValueError(f"{what} must be square")
+    scale = max(np.abs(S).max(initial=0.0), 1e-300)
+    if np.abs(S - S.T).max(initial=0.0) > 1e-12 * scale:
+        raise ValueError(f"{what} is not symmetric within 1e-12 relative")
     try:
         L = np.linalg.cholesky(S)
     except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from exc
+        raise NotPositiveDefinite(f"{what} is not positive definite") from exc
     return CholeskyFactor(lower=L)
 
 

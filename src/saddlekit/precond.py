@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import solve_triangular
 from scipy.sparse.linalg import splu
 
 from .dense import (CholeskyFactor, Singular, cholesky, cholesky_solve,
@@ -171,6 +172,12 @@ class GssPreconditioner:
         """P^T x."""
         return self.matrix.T @ x
 
+    @property
+    def factor_nnz(self):
+        """Entries of the sparse LU factors L and U (computed on access:
+        ``lu.L`` and ``lu.U`` copy)."""
+        return self.lu.L.nnz + self.lu.U.nnz
+
 
 def build(sys: SaddlePointSystem, cfg: GssConfig) -> GssPreconditioner:
     """Assemble the shift-splitting preconditioner and factor it once."""
@@ -188,44 +195,56 @@ def build(sys: SaddlePointSystem, cfg: GssConfig) -> GssPreconditioner:
 
 @dataclass(frozen=True)
 class BdPreconditioner:
-    a_factor: CholeskyFactor
+    """diag(A, S, X) with S = B A^{-1} B^T and X = C S^{-1} C^T: A through
+    its sparse factor, S and X through dense Cholesky factors."""
+
+    A: sp.csr_matrix
+    a_lu: object  # scipy.sparse.linalg.SuperLU of A, from require_spd
     s_factor: CholeskyFactor
     css_factor: CholeskyFactor
 
-    def _blockwise(self, f, r):
-        """Stack f(factor, block of r) over the three diagonal blocks."""
-        cuts = np.cumsum([self.a_factor.order, self.s_factor.order])
-        blocks = np.split(np.asarray(r, dtype=np.float64), cuts)
-        return np.concatenate([f(F, b) for F, b in zip(
-            (self.a_factor, self.s_factor, self.css_factor), blocks)])
+    def _blockwise(self, r, f_a, f_dense):
+        """Stack f_a(A's block of r), f_dense(s_factor, S's block) and
+        f_dense(css_factor, X's block)."""
+        cuts = np.cumsum([self.A.shape[0], self.s_factor.order])
+        ra, rs, rx = np.split(np.asarray(r, dtype=np.float64), cuts)
+        return np.concatenate([f_a(ra), f_dense(self.s_factor, rs),
+                               f_dense(self.css_factor, rx)])
 
     def apply(self, r):
         """Solve P w = r blockwise for a flat array r (optionally
         multi-column)."""
-        return self._blockwise(cholesky_solve, r)
+        return self._blockwise(r, self.a_lu.solve, cholesky_solve)
 
     def matvec(self, x):
-        """P x = L L^T x blockwise."""
-        return self._blockwise(lambda F, xb: F.lower @ (F.lower.T @ xb), x)
+        """P x: A x1, then L L^T x2 and L L^T x3 from the dense factors."""
+        return self._blockwise(x, self.A.__matmul__,
+                               lambda F, xb: F.lower @ (F.lower.T @ xb))
 
     __call__ = apply
     # every block is symmetric, so P^T = P
     apply_transpose, rmatvec = apply, matvec
 
+    @property
+    def factor_nnz(self):
+        """Factor entries: A's sparse L and U plus the lower triangles of
+        the S and X factors (computed on access: ``L`` and ``U`` copy)."""
+        return (self.a_lu.L.nnz + self.a_lu.U.nnz
+                + sum(F.order * (F.order + 1) // 2
+                      for F in (self.s_factor, self.css_factor)))
+
 
 def build_bd(sys: SaddlePointSystem) -> BdPreconditioner:
-    """Exact block diagonal baseline diag(A, S, C S^{-1} C^T), S = B A^{-1} B^T."""
-    Ad = sys.A.toarray()
-    Bd = sys.B.toarray()
-    Cd = sys.C.toarray()
-    a_factor = cholesky(Ad)
-    S = Bd @ cholesky_solve(a_factor, Bd.T)
-    S = 0.5 * (S + S.T)
-    s_factor = cholesky(S)
-    CSC = Cd @ cholesky_solve(s_factor, Cd.T)
-    CSC = 0.5 * (CSC + CSC.T)
-    css_factor = cholesky(CSC)
-    return BdPreconditioner(a_factor, s_factor, css_factor)
+    """Exact block diagonal baseline diag(A, S, X), S = B A^{-1} B^T and
+    X = C S^{-1} C^T.  A's sparse factor checks it is SPD and gives
+    A^{-1} B^T in one multi-column solve; X = W^T W with W = L_S^{-1} C^T,
+    so X is exactly symmetric.  Only S and X are dense."""
+    a_lu = require_spd(sys.A, "A")
+    S = sys.B @ a_lu.solve(sys.B.T.toarray())
+    s_factor = cholesky(0.5 * (S + S.T), "S = B A^-1 B^T")
+    W = solve_triangular(s_factor.lower, sys.C.T.toarray(), lower=True)
+    css_factor = cholesky(W.T @ W, "X = C S^-1 C^T")
+    return BdPreconditioner(sys.A, a_lu, s_factor, css_factor)
 
 
 # -- splitting identity -------------------------------------------------

@@ -68,10 +68,14 @@ def case_preset(case: str, sys: SaddlePointSystem, s: float,
     Case II: L1 = A,  L2 = I,  L3 = 0.001 C C^T
 
     ``lambda3_coef`` overrides the 0.001 coefficient (some parameter-strategy
-    runs use 1e-4 instead).
+    runs use 1e-4 instead).  A coefficient <= 0 is rejected here, by name,
+    since 0 * C C^T or -C C^T would only fail later as a singular or
+    indefinite L3; NaN and inf are left to ``GssConfig``'s finiteness check.
     """
     P, Q, W = case_operands(case, sys)
     coef = 0.001 if lambda3_coef is None else float(lambda3_coef)
+    if coef <= 0:
+        raise ValueError("lambda3 must be positive and finite")
     return GssConfig(P, Q, coef * W, s=float(s))
 
 

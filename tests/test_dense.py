@@ -14,7 +14,7 @@ from conftest import random_spd
 def test_cholesky_solve_oracle(rng):
     S = random_spd(rng, 9)
     b = rng.standard_normal(9)
-    F = cholesky(S)
+    F = cholesky(S, "S")
     assert F.order == 9
     x = cholesky_solve(F, b)
     assert np.allclose(S @ x, b, atol=1e-10)
@@ -23,23 +23,23 @@ def test_cholesky_solve_oracle(rng):
 def test_cholesky_multiple_rhs(rng):
     S = random_spd(rng, 6)
     B = rng.standard_normal((6, 3))
-    X = cholesky_solve(cholesky(S), B)
+    X = cholesky_solve(cholesky(S, "S"), B)
     assert np.allclose(S @ X, B, atol=1e-10)
 
 
 def test_cholesky_rejects_indefinite():
-    with pytest.raises(NotPositiveDefinite):
-        cholesky(np.diag([1.0, -1.0]))
+    with pytest.raises(NotPositiveDefinite, match="^S is not positive definite$"):
+        cholesky(np.diag([1.0, -1.0]), "S")
 
 
 def test_cholesky_rejects_asymmetric():
     M = np.array([[2.0, 1.0], [0.0, 2.0]])
-    with pytest.raises(ValueError):
-        cholesky(M)
+    with pytest.raises(ValueError, match="^S is not symmetric"):
+        cholesky(M, "S")
 
 
 def test_cholesky_solve_rhs_length():
-    F = cholesky(np.eye(3))
+    F = cholesky(np.eye(3), "S")
     with pytest.raises(ValueError):
         cholesky_solve(F, np.ones(4))
 

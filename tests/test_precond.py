@@ -2,8 +2,11 @@
 back-substitution solve against an explicit-matrix oracle, and the splitting
 identity P - Q = coefficient matrix."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from saddlekit.dense import NotPositiveDefinite, Singular
 from saddlekit.gmres import gmres, true_residual
@@ -212,3 +215,57 @@ def test_bd_matches_explicit_blocks(small_system, rng):
     assert np.allclose(P.apply(r), np.linalg.solve(M, r), atol=1e-8)
     R = rng.standard_normal((small_system.size, 3))
     assert np.allclose(P.apply(R)[:, 1], P.apply(R[:, 1]))
+
+
+def bd_blocks(sysv):
+    """A, S = B A^-1 B^T and X = C S^-1 C^T, formed densely."""
+    A, B, C = (M.toarray() for M in (sysv.A, sysv.B, sysv.C))
+    S = B @ np.linalg.solve(A, B.T)
+    return A, S, C @ np.linalg.solve(S, C.T)
+
+
+def rel_err(x, ref):
+    return np.linalg.norm(x - ref) / np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("sysv", [
+    pytest.param(random_system(np.random.default_rng(seed), n=15, m=9, p=4),
+                 id=f"random{seed}") for seed in range(3)] + [
+    pytest.param(example1(3), id="example1")])
+def test_bd_oracles(sysv):
+    """apply, matvec and their transposes against blockdiag(A, S, X)."""
+    rng = np.random.default_rng(5)
+    P = build_bd(sysv)
+    M = sla.block_diag(*bd_blocks(sysv))
+    x = rng.standard_normal(sysv.size)
+    assert rel_err(P.matvec(x), M @ x) < 1e-10
+    assert rel_err(P.apply(x), np.linalg.solve(M, x)) < 1e-10
+    assert rel_err(P.matvec(P.apply(x)), x) < 1e-10
+    R = rng.standard_normal((sysv.size, 3))
+    W = P.apply(R)
+    assert W.shape == R.shape
+    for k in range(3):
+        assert np.allclose(W[:, k], P.apply(R[:, k]), rtol=1e-13, atol=0)
+    assert rel_err(P.matvec(R), M @ R) < 1e-10
+    # every block is symmetric, so the transposes are the same methods
+    assert np.array_equal(P.apply_transpose(x), P.apply(x))
+    assert np.array_equal(P.rmatvec(x), P.matvec(x))
+    assert np.array_equal(P(x), P.apply(x))
+
+
+def test_factor_nnz_counts(small_system):
+    cfg = all_kind_configs(small_system)["pess"]
+    G = build(small_system, cfg)
+    assert G.factor_nnz == G.lu.L.nnz + G.lu.U.nnz
+    assert G.factor_nnz >= (np.count_nonzero(G.lu.L.toarray())
+                            + np.count_nonzero(G.lu.U.toarray()))
+    P = build_bd(small_system)
+    m, p = small_system.m, small_system.p
+    assert P.factor_nnz == (P.a_lu.L.nnz + P.a_lu.U.nnz
+                            + m * (m + 1) // 2 + p * (p + 1) // 2)
+    # the random S and X are dense, so their factors fill the lower triangle
+    assert np.count_nonzero(P.s_factor.lower) == m * (m + 1) // 2
+    assert np.count_nonzero(P.css_factor.lower) == p * (p + 1) // 2
+    # a property, not a field: the built dataclasses hold only the factors
+    for built in (G, P):
+        assert "factor_nnz" not in {f.name for f in dataclasses.fields(built)}

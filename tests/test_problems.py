@@ -77,6 +77,22 @@ def test_case_presets():
         case_preset("III", sysv, s=1.0)
 
 
+@pytest.mark.parametrize("case", ["I", "II"])
+def test_case_preset_rejects_bad_lambda3_coef(case):
+    """A coefficient <= 0 is named as lambda3 in both cases; NaN keeps the
+    finiteness check's message for the Case II matrix."""
+    sysv = example1(3)
+    for coef in (0.0, -1.0, -np.inf):
+        with pytest.raises(ValueError,
+                           match="^lambda3 must be positive and finite$"):
+            case_preset(case, sysv, s=12.0, lambda3_coef=coef)
+    want = {"I": "^lambda3 must be positive and finite$",
+            "II": "^lambda3 has non-finite entries$"}[case]
+    for coef in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=want):
+            case_preset(case, sysv, s=12.0, lambda3_coef=coef)
+
+
 def test_noise_spec_validation():
     with pytest.raises(ValueError):
         NoiseSpec(percentage=-1.0)
