@@ -3,12 +3,17 @@ tiny generated problem."""
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import saddlekit
 from saddlekit import cli, precond
 from saddlekit.cli import EXIT_NOCONV, EXIT_OK, EXIT_USAGE, main
 from saddlekit.gmres import gmres
@@ -26,6 +31,16 @@ def test_solve_unpreconditioned(capsys):
     assert rc == EXIT_OK
     out = capsys.readouterr().out
     assert "none" in out and "it=" in out and "res=" in out
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(saddlekit.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "saddlekit", "solve", *GEN],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "it=" in proc.stdout
 
 
 def test_solve_pess_with_report(tmp_path, capsys):
@@ -340,6 +355,12 @@ def test_non_finite_load_names_the_block(tmp_path, capsys):
      "lambda3 must be positive and finite"),
     (["--precond", "lpess", "--case", "II", "--lambda3-coef", "-1"],
      "lambda3 must be positive and finite"),
+    (["--precond", "pess", "--case", "II", "--tol", "nan"],
+     "tol must be positive and finite"),
+    (["--precond", "pess", "--case", "II", "--tol", "-1"],
+     "tol must be positive and finite"),
+    (["--precond", "pess", "--case", "II", "--maxit", "0"],
+     "maxit must be at least 1"),
 ])
 def test_non_finite_parameters_are_usage_errors(flags, message, capsys):
     assert main(["solve", *GEN, *flags]) == EXIT_USAGE

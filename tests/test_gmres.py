@@ -1,14 +1,35 @@
 """Full GMRES: correctness against direct solves, residual monotonicity,
 and the two preconditioning conventions."""
 
+import importlib
+
 import numpy as np
 import pytest
+from scipy.linalg import lstsq
 
 from saddlekit.gmres import gmres, true_residual
 from saddlekit.precond import build, make_config
+from saddlekit.problems import case_preset, example1
 from saddlekit.system import rhs_for_ones, to_dense
 
 from conftest import random_system
+
+# the module, whose ``operator_apply`` global the solver calls (the package
+# attribute ``saddlekit.gmres`` is the function)
+gmres_mod = importlib.import_module("saddlekit.gmres")
+
+
+def count_operator_applies(monkeypatch):
+    """Wrap the solver's operator apply; returns the list it appends to."""
+    calls = []
+    real = gmres_mod.operator_apply
+
+    def counting(sys_, u):
+        calls.append(1)
+        return real(sys_, u)
+
+    monkeypatch.setattr(gmres_mod, "operator_apply", counting)
+    return calls
 
 
 def test_unpreconditioned_solves(small_system, rng):
@@ -43,12 +64,14 @@ def test_right_preconditioned_true_residual(small_system):
     assert rep.final_res == pytest.approx(rep.true_final_res, rel=1e-6)
 
 
-def test_right_side_converges_only_on_true_residual(small_system):
+def test_right_side_converges_only_on_true_residual(small_system,
+                                                    monkeypatch):
     # a preconditioner that drifts with every call: the Arnoldi columns and
     # the assembled iterate see different P, so the monitored residual drops
     # below tol while the true residual of the iterate does not
     P = build(small_system, make_config("pess", lambda1=1.0, lambda2=1.0,
                                         lambda3=0.001, s=2.0))
+    ops = count_operator_applies(monkeypatch)
     calls = []
 
     def drifting(r):
@@ -60,6 +83,39 @@ def test_right_side_converges_only_on_true_residual(small_system):
                 tol=tol, side="right")
     assert np.any(rep.res_history < tol)
     assert not (rep.converged and rep.true_final_res >= tol)
+    # every iterate checked on the way is counted, the continuation included
+    assert (rep.n_matvec, rep.n_precond) == (len(ops), len(calls))
+
+
+@pytest.mark.parametrize("kind,params,side", [
+    (None, {}, "right"),
+    ("pess", {"lambda1": 1.0, "lambda2": 1.0, "lambda3": 0.001, "s": 2.0},
+     "right"),
+    ("ss", {"alpha": 0.1}, "left"),
+])
+def test_apply_counts_match_counting_wrappers(small_system, monkeypatch,
+                                              kind, params, side):
+    ops = count_operator_applies(monkeypatch)
+    calls = []
+    P = None
+    if kind is not None:
+        built = build(small_system, make_config(kind, **params))
+
+        def P(r):
+            calls.append(1)
+            return built(r)
+
+    rep = gmres(small_system, rhs_for_ones(small_system), precond=P,
+                tol=1e-10, side=side)
+    assert rep.converged
+    assert (rep.n_matvec, rep.n_precond) == (len(ops), len(calls))
+    # one apply per step plus r0 and the one confirming residual: the
+    # delayed second Gram-Schmidt pass costs no apply
+    assert rep.n_matvec == rep.iterations + 2
+    if P is None:
+        assert rep.n_precond == 0
+    else:  # right: the iterate's P^-1; left: P^-1 of r0 and of d
+        assert rep.n_precond == rep.iterations + (1 if side == "right" else 2)
 
 
 def test_left_preconditioned_reports_both(small_system):
@@ -115,6 +171,33 @@ def test_maxit_stall(small_system):
     assert len(rep.res_history) == 3
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    ({"tol": 0.0}, "tol must be positive and finite"),
+    ({"tol": -1.0}, "tol must be positive and finite"),
+    ({"tol": float("nan")}, "tol must be positive and finite"),
+    ({"tol": float("inf")}, "tol must be positive and finite"),
+    ({"maxit": 0}, "maxit must be at least 1"),
+], ids=["tol-zero", "tol-negative", "tol-nan", "tol-inf", "maxit-zero"])
+def test_bad_tol_and_maxit(small_system, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        gmres(small_system, rhs_for_ones(small_system), **kwargs)
+
+
+@pytest.mark.parametrize("kind", ["none", "pess-II"])
+def test_result_independent_of_rhs_scale(kind):
+    # breakdown is judged against ||Op(v_k)||, which does not see the scale
+    # of d: every scale takes the same steps to the same relative residual
+    sysv = example1(8)
+    P = (None if kind == "none"
+         else build(sysv, case_preset("II", sysv, s=12.0)).apply)
+    d = rhs_for_ones(sysv).to_array()
+    reps = [gmres(sysv, c * d, precond=P) for c in (1e-12, 1.0, 1e12)]
+    assert all(r.converged for r in reps)
+    assert len({r.iterations for r in reps}) == 1
+    np.testing.assert_allclose([r.true_final_res for r in reps],
+                               reps[1].true_final_res, rtol=1e-6)
+
+
 def test_bad_side_and_rhs_length(small_system):
     with pytest.raises(ValueError):
         gmres(small_system, np.ones(small_system.size), side="middle")
@@ -126,3 +209,51 @@ def test_report_str(small_system):
     rep = gmres(small_system, rhs_for_ones(small_system), tol=1e-6)
     text = str(rep)
     assert "converged" in text and "it=" in text
+
+
+def reference_history(sys_, d, precond, side, steps):
+    """Dense full GMRES from x0 = 0: modified Gram-Schmidt with full
+    reorthogonalization and an lstsq solve at every step; returns the
+    monitored relative residual after 0..steps steps."""
+    A = to_dense(sys_)
+    P = (lambda r: r) if precond is None else precond
+    op = (lambda v: A @ P(v)) if side == "right" else (lambda v: P(A @ v))
+    r0 = d if side == "right" else P(d)
+    beta = np.linalg.norm(r0)
+    V = np.zeros((steps + 1, sys_.size))
+    H = np.zeros((steps + 1, steps))
+    V[0] = r0 / beta
+    hist = [1.0]
+    for k in range(steps):
+        w = op(V[k])
+        for _ in range(2):
+            for j in range(k + 1):
+                h = V[j] @ w
+                H[j, k] += h
+                w -= h * V[j]
+        H[k + 1, k] = np.linalg.norm(w)
+        V[k + 1] = w / H[k + 1, k]
+        e1 = np.zeros(k + 2)
+        e1[0] = beta
+        y = lstsq(H[:k + 2, :k + 1], e1, lapack_driver="gelsy")[0]
+        hist.append(np.linalg.norm(e1 - H[:k + 2, :k + 1] @ y) / beta)
+    return np.array(hist)
+
+
+@pytest.mark.parametrize("case", ["none-l6", "pess-II-right-l8",
+                                  "ss-left-l8"])
+def test_history_matches_dense_reference(case):
+    # the delayed second Gram-Schmidt pass and the one-dot Givens update
+    # reproduce the textbook recurrence step by step
+    sysv = example1(6 if case == "none-l6" else 8)
+    if case == "none-l6":
+        P, side = None, "right"
+    elif case == "pess-II-right-l8":
+        P, side = build(sysv, case_preset("II", sysv, s=12.0)).apply, "right"
+    else:
+        P, side = build(sysv, make_config("ss", alpha=0.1)).apply, "left"
+    d = rhs_for_ones(sysv).to_array()
+    rep = gmres(sysv, d, precond=P, tol=1e-6, side=side)
+    assert rep.converged
+    ref = reference_history(sysv, d, P, side, rep.iterations)
+    np.testing.assert_allclose(rep.res_history, ref, rtol=1e-8, atol=0)
