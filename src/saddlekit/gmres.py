@@ -55,12 +55,6 @@ BASIS_BLOCK = 64
 BREAKDOWN = 1e-14
 
 
-def _norm(x) -> float:
-    """np.linalg.norm of a 1-d array, the same sqrt(x @ x), without its
-    per-call checks."""
-    return math.sqrt(x @ x)
-
-
 @dataclass(frozen=True)
 class SolveReport:
     converged: bool
@@ -130,7 +124,6 @@ def gmres(sys: SaddlePointSystem, d, precond=None, tol=1e-6, maxit=7000,
                            n_matvec, n_apply if precond is not None else 0)
 
     maxit = min(maxit, N)
-
     V = np.empty((BASIS_BLOCK, N))  # the Arnoldi basis, one vector per row
     H = np.zeros((BASIS_BLOCK, BASIS_BLOCK + 1))  # row j: Arnoldi column j
     xi = np.zeros(BASIS_BLOCK + 1)  # rotated diagonal of column k: xi @ H[k]
@@ -155,11 +148,11 @@ def gmres(sys: SaddlePointSystem, d, precond=None, tol=1e-6, maxit=7000,
         coefficients are s: correct the column, normalize V[j+1] and rotate.
         Returns the second norm, the monitored residual and breakdown."""
         col = H[j]
-        nu = _norm(V[j + 1])
+        nu = math.sqrt(V[j + 1] @ V[j + 1])
         col[:j + 1] += col[j + 1] * s
         col[j + 1] = h = float(col[j + 1] * nu)
         # ||Op(v_j)|| = ||column j||: the breakdown test is scale-free
-        breakdown = h <= BREAKDOWN * _norm(col[:j + 2])
+        breakdown = h <= BREAKDOWN * math.sqrt(col[:j + 2] @ col[:j + 2])
         if not breakdown:
             V[j + 1] /= nu
         a = float(xi[:j + 1] @ col[:j + 1])
@@ -223,9 +216,9 @@ def gmres(sys: SaddlePointSystem, d, precond=None, tol=1e-6, maxit=7000,
         else:
             col[:k + 1] = project(k + 1, V[k + 1:k + 2])[:, 0]
             scale = 1.0
-        nrm = _norm(w)
+        nrm = math.sqrt(w @ w)
         col[k + 1] = h = nrm * scale
-        breakdown = h <= BREAKDOWN * _norm(col[:k + 2])
+        breakdown = h <= BREAKDOWN * math.sqrt(col[:k + 2] @ col[:k + 2])
         if breakdown:
             col[k + 1] = scale  # the second pass runs on w unnormalized
         else:
