@@ -2,7 +2,7 @@
 block saddle point systems."""
 
 from .dense import (CholeskyFactor, ConvergenceFailure, NotPositiveDefinite,
-                    Singular, cholesky, cholesky_solve, eig_general)
+                    Singular, cholesky, cholesky_solve)
 from .gmres import SolveReport, gmres, true_residual
 from .mmio import (ReportRecord, read_matrix_market, write_matrix_market,
                    write_report)
@@ -11,7 +11,7 @@ from .precond import (BdPreconditioner, GssConfig, GssPreconditioner, build,
                       build_bd, make_config, splitting_residual)
 from .problems import NoiseSpec, case_preset, example1, load_external, perturb
 from .spectral import (BoundReport, InapplicableBound, ScalarExtremes,
-                       check_pess_nonreal, check_real_interval,
+                       analyze, check_pess_nonreal, check_real_interval,
                        check_unit_disk, condition_number, lpess_bounds,
                        pess_nonreal_bounds, pess_real_interval,
                        preconditioned_spectrum, scalar_extremes)

@@ -180,6 +180,12 @@ def _solve_with(kind, P, meta, sys_, problem_id, args):
     return rep, record
 
 
+def _res_fields(record):
+    true_res = record.params.get("true_res", float("nan"))
+    return (f"res={mmio.format_res(record.res)} "
+            f"true_res={mmio.format_res(true_res)}")
+
+
 def _exit_code(records):
     """EXIT_NOCONV when any row did not converge (error rows included)."""
     return EXIT_OK if all(r.converged for r in records) else EXIT_NOCONV
@@ -189,7 +195,7 @@ def cmd_solve(args):
     sys_, pid = _make_system(args)
     rep, record, _ = _solve_one(args.precond, sys_, pid, args)
     print(f"{record.process} {record.problem} size={record.size} "
-          f"it={record.it} res={mmio.format_res(record.res)} "
+          f"it={record.it} {_res_fields(record)} "
           f"wall={record.wall_seconds:.3f}s")
     if args.report:
         mmio.write_report([record], args.format, args.report)
@@ -214,8 +220,7 @@ def cmd_compare(args):
                                                "error_type": type(exc).__name__},
                                        converged=False)
         records.append(record)
-        print(f"{record.process:8s} it={record.it:5d} "
-              f"res={mmio.format_res(record.res)}")
+        print(f"{record.process:8s} it={record.it:5d} {_res_fields(record)}")
     mmio.write_report(records, "csv", args.report)
     return _exit_code(records)
 
@@ -223,18 +228,7 @@ def cmd_compare(args):
 def cmd_spectrum(args):
     sys_, pid = _make_system(args)
     P, _ = _make_precond(args.precond, sys_, args)
-    spec = spectral.preconditioned_spectrum(sys_, P)
-    reports = []
-    if hasattr(P, "config"):  # the shift-splitting family
-        s = P.config.s
-        reports.append(spectral.check_unit_disk(spec, s))
-        if args.precond in ("pess", "lpess"):
-            ext = spectral.scalar_extremes(sys_, P.config)
-            if args.precond == "pess":
-                reports += [spectral.check_real_interval(spec, ext, s),
-                            spectral.check_pess_nonreal(spec, ext, s)]
-            else:
-                reports.append(spectral.lpess_bounds(spec, ext, s, sys_.n))
+    spec, _, reports = spectral.analyze(sys_, P)
     for r in reports:
         print(f"{r.theorem}: {'holds' if r.holds else 'VIOLATED'} "
               f"({len(r.violations)} violations)")
@@ -310,8 +304,7 @@ def cmd_params(args):
                                   lambda3=lam3, s=est.s_est)
         _, record = _solve_with(args.preset, precond.build(sys_, cfg), {},
                                 sys_, pid, args)
-        print(f"{args.preset} it={record.it} "
-              f"res={mmio.format_res(record.res)}")
+        print(f"{args.preset} it={record.it} {_res_fields(record)}")
         return _exit_code([record])
     return EXIT_OK
 

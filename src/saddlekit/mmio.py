@@ -103,7 +103,7 @@ def write_report(records, fmt, path):
     elif fmt == "json":
         payload = [{
             "process": r.process, "problem": r.problem, "size": r.size,
-            "it": r.it, "res": format_res(r.res),
+            "it": r.it, "res": float(r.res),
             "wall_seconds": round(r.wall_seconds, 3),
             "params": {k: (float(v) if isinstance(v, (int, float, np.floating))
                            else str(v)) for k, v in r.params.items()},

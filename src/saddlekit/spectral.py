@@ -28,7 +28,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from .dense import Singular, eig_general, norm2, require_spd
+from .dense import ConvergenceFailure, Singular, norm2, require_spd
 from .precond import GssConfig, operand_sparse
 from .system import SaddlePointSystem, to_dense
 
@@ -66,13 +66,16 @@ class BoundReport:
 
 
 def preconditioned_spectrum(sys: SaddlePointSystem, precond=None) -> np.ndarray:
-    """Unordered complex eigenvalues of P^{-1} A, densified column by column
-    (or of A itself when no preconditioner is given).  ``precond`` is a
-    callable solving P W = R for a multi-column R."""
+    """Unordered complex eigenvalues of P^{-1} A (or of A without ``precond``,
+    a callable solving P W = R for a multi-column R), densified column by
+    column; a LAPACK failure becomes ``ConvergenceFailure``."""
     M = to_dense(sys)
     if precond is not None:
         M = precond(M)
-    return eig_general(M)
+    try:
+        return sla.eigvals(M)
+    except sla.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
+        raise ConvergenceFailure(str(exc)) from exc
 
 
 def _pencil_extremes(S, T):
@@ -263,6 +266,22 @@ def lpess_bounds(spectrum, extremes: ScalarExtremes, s: float, n: int,
          "count_nonreal": int(np.count_nonzero(~real)),
          "theta_tilde_convention": THETA_TILDE_CONVENTION},
         holds=multiplicity >= n)
+
+
+def analyze(sys: SaddlePointSystem, P=None):
+    """(spectrum, extremes, reports) of P^{-1} A, or of A without P.  The
+    checks follow P's config: none without one (P None or bd); else the
+    unit disk, then the real interval and the non-real disjunction if L1
+    is kept, or the dropped-shift bounds; each found as a module global."""
+    spec = preconditioned_spectrum(sys, P)
+    cfg = getattr(P, "config", None)
+    if cfg is None:
+        return spec, None, ()
+    s, ext = cfg.s, scalar_extremes(sys, cfg)
+    reports = (check_unit_disk(spec, s),) + (
+        (check_real_interval(spec, ext, s), check_pess_nonreal(spec, ext, s))
+        if cfg.is_pess else (lpess_bounds(spec, ext, s, sys.n),))
+    return spec, ext, reports
 
 
 def condition_number(sys: SaddlePointSystem, precond=None) -> float:

@@ -19,11 +19,7 @@ from saddlekit.params import estimate_params, phi, phi_minimizer
 from saddlekit.precond import (KINDS, build, build_bd, make_config,
                                splitting_residual)
 from saddlekit.problems import NoiseSpec, case_preset, example1, perturb
-from saddlekit.spectral import (check_pess_nonreal, check_real_interval,
-                                check_unit_disk, condition_number,
-                                lpess_bound_values, lpess_bounds,
-                                pess_nonreal_bounds, pess_real_interval,
-                                preconditioned_spectrum, scalar_extremes)
+from saddlekit.spectral import analyze, condition_number
 from saddlekit.stationary import Diverged, convergence_predicate, pess_iterate
 from saddlekit.system import rhs_for_ones
 
@@ -157,21 +153,25 @@ def test_criterion2_estimated_parameters(l16, l32):
 
 @pytest.fixture(scope="module")
 def spectral_case(l16):
+    """The bound reports ``analyze`` gives pess and lpess at Case II, s=13,
+    keyed "<kind> <theorem>", and s."""
     s = 13.0
     cfg = case_preset("II", l16, s=s)
-    pess = preconditioned_spectrum(l16, build(l16, cfg))
     lcfg = make_config("lpess", lambda2=cfg.lambda2, lambda3=cfg.lambda3, s=s)
-    lpess = preconditioned_spectrum(l16, build(l16, lcfg))
-    return cfg, lcfg, pess, lpess, scalar_extremes(l16, cfg), s
+    reports = {}
+    for label, c in (("pess", cfg), ("lpess", lcfg)):
+        _, _, reps = analyze(l16, build(l16, c))
+        reports.update((f"{label} {r.theorem}", r) for r in reps)
+    return reports, s
 
 
 def test_criterion3_pess_real_interval(spectral_case):
-    cfg, _, pess, _, ext, s = spectral_case
+    reports, s = spectral_case
     failures = []
-    lo, hi = pess_real_interval(ext, s)
+    rep = reports["pess real-interval"]
+    hi = rep.bounds["upper"]
     if abs(hi - 0.071429) > 1e-6:
         failures.append(f"real upper endpoint {hi:.6f} != 0.071429 +- 1e-6")
-    rep = check_real_interval(pess, ext, s)
     if not rep.holds:
         failures.append(f"{len(rep.violations)} real eigenvalues escape "
                         f"(0, {hi:.6f}]")
@@ -179,16 +179,16 @@ def test_criterion3_pess_real_interval(spectral_case):
 
 
 def test_criterion3_pess_nonreal_table(spectral_case):
-    _, _, pess, _, ext, s = spectral_case
+    reports, _ = spectral_case
     failures = []
-    b = pess_nonreal_bounds(ext, s)
+    rep = reports["pess nonreal-disjunction"]
+    b = rep.bounds
     table = {"mod_lower": 0.0667, "mod_upper": 0.0739,
              "re_mu_lower": 4.258e-5, "re_mu_upper": 0.5,
              "im_mu_bound": 31.6386}
     for key, want in table.items():
         if sig3(b[key]) != sig3(want):
             failures.append(f"{key}: computed {b[key]:.5g}, table {want:.5g}")
-    rep = check_pess_nonreal(pess, ext, s)
     if not rep.holds:
         failures.append(f"{len(rep.violations)} non-real eigenvalues violate "
                         f"the disjunction")
@@ -197,17 +197,20 @@ def test_criterion3_pess_nonreal_table(spectral_case):
 
 
 def test_criterion3_lpess_table(spectral_case):
-    _, lcfg, _, lpess, ext, s = spectral_case
+    reports, s = spectral_case
     failures = []
     n = 512
-    b = lpess_bound_values(ext, s)
+    rep = reports["lpess lpess"]
+    b = rep.bounds
     table = {"mod_lower": 0.0285, "mod_upper": 0.07693,
              "annulus_lower": 1.8666e-4, "annulus_upper": 0.04384,
              "real_lower": 0.0416, "real_upper_with_cluster": 0.0769}
     for key, want in table.items():
         if sig3(b[key]) != sig3(want):
             failures.append(f"{key}: computed {b[key]:.5g}, table {want:.5g}")
-    rep = lpess_bounds(lpess, ext, s, n, cluster_tol=1e-8)
+    if rep.metadata["n"] != n or rep.metadata["cluster_tol"] != 1e-8:
+        failures.append(f"checked with n={rep.metadata['n']}, cluster_tol="
+                        f"{rep.metadata['cluster_tol']:g}")
     if rep.metadata["multiplicity"] < n:
         failures.append(f"cluster multiplicity {rep.metadata['multiplicity']} "
                         f"< {n} at 1/{s:g}")
@@ -309,10 +312,13 @@ def test_criterion6_localization_random():
         sysv = random_system(rng, n=10, m=6, p=4)
         s = [0.5, 1.0, 2.0, 5.0][seed % 4]
         cfg = make_config("pess", lambda1=1.0, lambda2=1.0, lambda3=0.001, s=s)
-        spec = preconditioned_spectrum(sysv, build(sysv, cfg))
-        ext = scalar_extremes(sysv, cfg)
-        if not check_unit_disk(spec, s).holds:
-            failures.append(f"seed {seed}: unit disk violated")
+        spec, _, reports = analyze(sysv, build(sysv, cfg))
+        theorems = tuple(rep.theorem for rep in reports)
+        if theorems != ("unit-disk", "real-interval", "nonreal-disjunction"):
+            failures.append(f"seed {seed}: checked {theorems}")
+        for rep in reports:
+            if not rep.holds:
+                failures.append(f"seed {seed}: {rep.theorem} violated")
         if not np.all(spec.real > 0):
             failures.append(f"seed {seed}: not positive stable")
         # real within |im| <= 1e-8 max(1, |re|)
@@ -320,10 +326,6 @@ def test_criterion6_localization_random():
                     <= 1e-8 * np.maximum(1.0, np.abs(spec.real))].real
         if real.size and not np.all((real > 0) & (real < 1.0 / s + 1e-9)):
             failures.append(f"seed {seed}: real eigenvalue outside (0, 1/s)")
-        if not check_real_interval(spec, ext, s).holds:
-            failures.append(f"seed {seed}: real interval violated")
-        if not check_pess_nonreal(spec, ext, s).holds:
-            failures.append(f"seed {seed}: non-real disjunction violated")
     verdict("criterion 6c: disk/positivity/interval on 20 random systems",
             failures)
 

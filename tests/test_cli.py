@@ -16,9 +16,11 @@ import scipy.sparse.linalg as spla
 import saddlekit
 from saddlekit import cli, precond
 from saddlekit.cli import EXIT_NOCONV, EXIT_OK, EXIT_USAGE, main
+from saddlekit.dense import Singular
 from saddlekit.gmres import gmres
 from saddlekit.mmio import write_matrix_market
 from saddlekit.problems import NoiseSpec, example1, perturb
+from saddlekit.spectral import analyze
 from saddlekit.system import rhs_for_ones
 
 from conftest import arpack_fails
@@ -26,11 +28,17 @@ from conftest import arpack_fails
 GEN = ["--gen-l", "3"]
 
 
+def printed_field(line, name):
+    """The value of ``name=value`` in a printed row."""
+    return line.split(f" {name}=")[1].split()[0]
+
+
 def test_solve_unpreconditioned(capsys):
     rc = main(["solve", *GEN])
     assert rc == EXIT_OK
     out = capsys.readouterr().out
     assert "none" in out and "it=" in out and "res=" in out
+    assert float(printed_field(out, "true_res")) < 1e-6
 
 
 def test_python_dash_m_runs_the_cli():
@@ -83,6 +91,21 @@ def test_compare_flow(tmp_path, capsys):
     assert rc == EXIT_OK
     rows = list(csv.reader(report.read_text().splitlines()))
     assert [r[0] for r in rows[1:]] == ["ss", "rss", "pess", "bd"]
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4
+    # right side by default: every converged row's true residual is below tol
+    assert all(float(printed_field(ln, "true_res")) < 1e-6 for ln in lines)
+
+
+def test_compare_error_row_prints_nan(tmp_path, monkeypatch, capsys):
+    def failing_build_bd(sys_):
+        raise Singular("bd is singular")
+
+    monkeypatch.setattr(precond, "build_bd", failing_build_bd)
+    rc = main(["compare", *GEN, "--kinds", "bd",
+               "--report", str(tmp_path / "cmp.csv")])
+    assert rc == EXIT_NOCONV
+    assert capsys.readouterr().out == "bd       it=   -1 res=nan true_res=nan\n"
 
 
 def test_compare_nonconvergence_exit_code(tmp_path):
@@ -121,9 +144,34 @@ def test_spectrum_lpess(capsys):
 
 
 def test_spectrum_baseline_kind(capsys):
+    # ss keeps an SPD L1, so it gets the same checks as pess
     rc = main(["spectrum", *GEN, "--precond", "ss"])
     assert rc == EXIT_OK
-    assert "unit-disk" in capsys.readouterr().out
+    assert capsys.readouterr().out == ("unit-disk: holds (0 violations)\n"
+                                       "real-interval: holds (0 violations)\n"
+                                       "nonreal-disjunction: holds "
+                                       "(0 violations)\n")
+
+
+KEEPS_L1 = ("unit-disk", "real-interval", "nonreal-disjunction")
+DROPS_L1 = ("unit-disk", "lpess")
+EXPECTED_THEOREMS = {"none": (), "bd": (), "pess": KEEPS_L1, "ss": KEEPS_L1,
+                     "egss": KEEPS_L1, "lpess": DROPS_L1, "rss": DROPS_L1,
+                     "rpgss": DROPS_L1}
+
+
+@pytest.mark.parametrize("case", ["I", "II"])
+@pytest.mark.parametrize("kind", cli.PRECOND_KINDS)
+def test_analyze_picks_checks_from_the_config(kind, case, tiny_example):
+    # every kind with the CLI's default parameters
+    args = cli.build_parser().parse_args(
+        ["spectrum", *GEN, "--precond", kind, "--case", case])
+    P, _ = cli._make_precond(kind, tiny_example, args)
+    spec, ext, reports = analyze(tiny_example, P)
+    assert spec.shape == (tiny_example.size,)
+    assert tuple(r.theorem for r in reports) == EXPECTED_THEOREMS[kind]
+    assert (ext is None) == (not reports)
+    assert all(r.holds for r in reports)
 
 
 @pytest.mark.parametrize("kind,what", [("none", "unpreconditioned"),

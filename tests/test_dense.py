@@ -1,12 +1,12 @@
 """Dense kernels: the Cholesky SPD test and solves, the sparse SPD check,
-and the general eigensolver."""
+and the ARPACK 2-norm."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from saddlekit.dense import (NotPositiveDefinite, cholesky, cholesky_solve,
-                             eig_general, require_spd)
+                             norm2, require_spd)
 
 from conftest import random_spd
 
@@ -44,13 +44,14 @@ def test_cholesky_solve_rhs_length():
         cholesky_solve(F, np.ones(4))
 
 
-def test_eig_general_rotation():
-    # 2x2 rotation: purely imaginary conjugate pair
-    M = np.array([[0.0, -1.0], [1.0, 0.0]])
-    spec = eig_general(M)
-    assert spec.dtype == np.complex128 and spec.shape == (2,)
-    assert np.allclose(spec.real, 0.0)
-    assert np.allclose(sorted(spec.imag), [-1.0, 1.0])
+@pytest.mark.parametrize("k", [64, 256])
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_norm2_reflection_symmetric_operator(k, symmetric):
+    # tridiag(-1, 2, -1)'s top eigenvector is antisymmetric under the
+    # reflection i -> k-1-i, so a uniform start vector never sees it
+    T = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(k, k), format="csr")
+    exact = 2.0 - 2.0 * np.cos(k * np.pi / (k + 1))
+    assert abs(norm2(T, symmetric=symmetric) - exact) <= 1e-10 * exact
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf])

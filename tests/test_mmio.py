@@ -115,7 +115,7 @@ def test_format_res():
 
 def records():
     return [
-        ReportRecord("pess", "generated-l4", 64, 3, 8.2852e-07, 0.012,
+        ReportRecord("pess", "generated-l4", 64, 3, 8.28515512e-07, 0.012,
                      {"s": 12, "case": "I"}),
         ReportRecord("none", "generated-l4", 64, 120, 9.9e-07, 0.5),
     ]
@@ -139,7 +139,7 @@ def test_write_report_json(tmp_path):
     payload = json.loads(path.read_text())
     assert len(payload) == 2
     assert payload[0]["it"] == 3
-    assert payload[0]["res"] == "8.2852e-07"
+    assert payload[0]["res"] == 8.28515512e-07
     assert payload[0]["params"]["s"] == 12
     assert payload[0]["converged"] is True
 

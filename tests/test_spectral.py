@@ -55,6 +55,7 @@ def test_spectrum_matches_dense_oracle(small_system):
 
 def test_unpreconditioned_spectrum(small_system):
     spec = preconditioned_spectrum(small_system)
+    assert spec.dtype == np.complex128 and spec.shape == (small_system.size,)
     ref = np.linalg.eigvals(to_dense(small_system))
     assert np.allclose(np.sort_complex(spec),
                        np.sort_complex(ref), atol=1e-8)
