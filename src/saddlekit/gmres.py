@@ -25,7 +25,9 @@ matching the two conventions found in published tables:
   the least-squares residual and stops only on a confirmed true residual:
   once the monitored value drops below the tolerance it assembles u and
   computes ||A u - d|| / ||d||, and if that is not below the tolerance too
-  it keeps iterating.
+  it keeps iterating, unless the monitored value is at rounding level
+  (<= ``BREAKDOWN``): later steps cannot move the iterate, so it stops
+  unconverged.
 
 * left: solve P^{-1} A u = P^{-1} d.  The monitored residual is the
   PRECONDITIONED relative residual ||P^{-1}(A u - d)|| / ||P^{-1} d||,
@@ -167,9 +169,12 @@ def gmres(sys: SaddlePointSystem, d, precond=None, tol=1e-6, maxit=7000,
         history.append(abs(g[j + 1]) / nd)
         return nu, history[-1], breakdown
 
-    def confirm(k, res):
-        """Assemble the iterate after k steps; returns it, its true residual
-        and whether the solve converged."""
+    def confirm(k, res, breakdown):
+        """Assemble the iterate after k steps; returns it, its true residual,
+        whether the solve converged and whether it stops.  It stops
+        unconverged at breakdown, or once the monitored residual is at
+        rounding level (<= BREAKDOWN): the least-squares problem is then
+        solved, and later steps cannot move the iterate."""
         nonlocal n_matvec, n_apply
         R = H[:k, :k + 1].T.copy()
         for j in range(k):  # the stored rotations, row by row, in place
@@ -181,7 +186,8 @@ def gmres(sys: SaddlePointSystem, d, precond=None, tol=1e-6, maxit=7000,
         n_matvec += 1
         n_apply += right
         tr = true_residual(sys, u, d)
-        return u, tr, res < tol and (not right or tr < tol)
+        converged = res < tol and (not right or tr < tol)
+        return u, tr, converged, converged or breakdown or res <= BREAKDOWN
 
     it = 0
     converged = False
@@ -205,8 +211,8 @@ def gmres(sys: SaddlePointSystem, d, precond=None, tol=1e-6, maxit=7000,
             nu, res, breakdown = finalize(k - 1, s)
             it = k
             if res < tol or breakdown:
-                x, true_res, converged = confirm(it, res)
-                if converged or breakdown:
+                x, true_res, converged, stop = confirm(it, res, breakdown)
+                if stop:
                     break
             t = float(v @ w)
             col[:k] = (z - s @ H[:k, :k]) / nu
@@ -233,8 +239,8 @@ def gmres(sys: SaddlePointSystem, d, precond=None, tol=1e-6, maxit=7000,
             _, res, breakdown = finalize(k, s)
             it = k + 1
             if res < tol or breakdown or it == maxit:
-                x, true_res, converged = confirm(it, res)
-                if converged or breakdown:
+                x, true_res, converged, stop = confirm(it, res, breakdown)
+                if stop:
                     break
 
     return SolveReport(converged, it, history[-1], np.asarray(history),

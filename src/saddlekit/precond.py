@@ -193,6 +193,13 @@ def build(sys: SaddlePointSystem, cfg: GssConfig) -> GssPreconditioner:
 # -- exact block diagonal baseline -------------------------------------
 
 
+def schur(X, lu) -> np.ndarray:
+    """X T^{-1} X^T for a sparse X and T's SuperLU factor ``lu``, dense and
+    exactly symmetric: one multi-column solve T^{-1} X^T."""
+    S = X @ lu.solve(X.T.toarray())
+    return 0.5 * (S + S.T)
+
+
 @dataclass(frozen=True)
 class BdPreconditioner:
     """diag(A, S, X) with S = B A^{-1} B^T and X = C S^{-1} C^T: A through
@@ -237,11 +244,10 @@ class BdPreconditioner:
 def build_bd(sys: SaddlePointSystem) -> BdPreconditioner:
     """Exact block diagonal baseline diag(A, S, X), S = B A^{-1} B^T and
     X = C S^{-1} C^T.  A's sparse factor checks it is SPD and gives
-    A^{-1} B^T in one multi-column solve; X = W^T W with W = L_S^{-1} C^T,
-    so X is exactly symmetric.  Only S and X are dense."""
+    S = ``schur(B, A's factor)``; X = W^T W with W = L_S^{-1} C^T, so X is
+    exactly symmetric.  Only S and X are dense."""
     a_lu = require_spd(sys.A, "A")
-    S = sys.B @ a_lu.solve(sys.B.T.toarray())
-    s_factor = cholesky(0.5 * (S + S.T), "S = B A^-1 B^T")
+    s_factor = cholesky(schur(sys.B, a_lu), "S = B A^-1 B^T")
     W = solve_triangular(s_factor.lower, sys.C.T.toarray(), lower=True)
     css_factor = cholesky(W.T @ W, "X = C S^-1 C^T")
     return BdPreconditioner(sys.A, a_lu, s_factor, css_factor)

@@ -22,14 +22,14 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from .dense import ConvergenceFailure, Singular, norm2, require_spd
-from .precond import GssConfig, operand_sparse
+from .precond import GssConfig, operand_sparse, schur
 from .system import SaddlePointSystem, to_dense
 
 THETA_TILDE_CONVENTION = "lambda3_inv_C_lambda2_inv_Ct"
@@ -79,43 +79,36 @@ def preconditioned_spectrum(sys: SaddlePointSystem, precond=None) -> np.ndarray:
 
 
 def _pencil_extremes(S, T):
-    """Smallest and largest eigenvalue of T^{-1} S for symmetric S and an
-    SPD T that the caller has already passed through ``require_spd``."""
-    w = sla.eigh(S, T, eigvals_only=True)
+    """Smallest and largest eigenvalue of T^{-1} S for a dense symmetric S
+    and a sparse SPD T that the caller has already passed through
+    ``require_spd``."""
+    w = sla.eigh(S, T.toarray(), eigvals_only=True)
     return float(w[0]), float(w[-1])
-
-
-def _sym(M):
-    return 0.5 * (M + M.T)
 
 
 def scalar_extremes(sys: SaddlePointSystem, cfg: GssConfig) -> ScalarExtremes:
     """Generalized-eigenvalue extremes of the symmetric pairs behind the
     localization bounds.  xi and eta need an SPD L1; the vartheta / theta~
-    pair covers the dropped-shift scheme."""
-    Bd = sys.B.toarray()
-    Cd = sys.C.toarray()
-
+    pair covers the dropped-shift scheme.  The Schur-type matrices come from
+    ``precond.schur`` on the sparse B and C."""
     # every shift passes require_spd (the symmetry and SPD test) before it
     # meets eigh, which reads one triangle and raises no typed error
     lam2 = operand_sparse(cfg.lambda2, sys.m)
     lam3 = operand_sparse(cfg.lambda3, sys.p)
     lam2_lu = require_spd(lam2, "lambda2")
     lam3_lu = require_spd(lam3, "lambda3")
-    lam2d = lam2.toarray()
     xi_max = xi_min = eta_max = eta_min = None
     if cfg.lambda1 is not None:
         lam1 = operand_sparse(cfg.lambda1, sys.n)
         lam1_lu = require_spd(lam1, "lambda1")
-        xi_min, xi_max = _pencil_extremes(sys.A.toarray(), lam1.toarray())
-        eta_min, eta_max = _pencil_extremes(_sym(Bd @ lam1_lu.solve(Bd.T)),
-                                            lam2d)
+        xi_min, xi_max = _pencil_extremes(sys.A.toarray(), lam1)
+        eta_min, eta_max = _pencil_extremes(schur(sys.B, lam1_lu), lam2)
 
-    theta_max = _pencil_extremes(_sym(Cd.T @ lam3_lu.solve(Cd)), lam2d)[1]
+    theta_max = _pencil_extremes(schur(sys.C.T, lam3_lu), lam2)[1]
     vartheta_min, vartheta_max = _pencil_extremes(
-        _sym(Bd @ require_spd(sys.A, "A").solve(Bd.T)), lam2d)
+        schur(sys.B, require_spd(sys.A, "A")), lam2)
     theta_tilde_min, theta_tilde_max = _pencil_extremes(
-        _sym(Cd @ lam2_lu.solve(Cd.T)), lam3.toarray())
+        schur(sys.C, lam2_lu), lam3)
 
     return ScalarExtremes(xi_max, xi_min, eta_max, eta_min, theta_max,
                           vartheta_max, vartheta_min,
@@ -310,28 +303,17 @@ def condition_number(sys: SaddlePointSystem, precond=None) -> float:
 # -- serialization -------------------------------------------------------
 
 
-def report_to_dict(report: BoundReport) -> dict:
-    def enc(v):
-        if isinstance(v, complex):
-            return {"re": v.real, "im": v.imag}
-        if isinstance(v, (list, tuple)):
-            return [enc(x) for x in v]
-        if isinstance(v, dict):
-            return {k: enc(x) for k, x in v.items()}
-        return v
-
-    return {
-        "theorem": report.theorem,
-        "bounds": enc(report.bounds),
-        "holds": report.holds,
-        "violations": enc(list(report.violations)),
-        "metadata": enc(report.metadata),
-    }
+def _json_complex(v):
+    """``json.dump``'s hook: a complex as {"re": ..., "im": ...}."""
+    if isinstance(v, complex):
+        return {"re": v.real, "im": v.imag}
+    raise TypeError(f"{type(v).__name__} is not JSON serializable")
 
 
 def write_spectral_report(reports, path):
     with open(path, "w") as fh:
-        json.dump([report_to_dict(r) for r in reports], fh, indent=2)
+        json.dump([asdict(r) for r in reports], fh, indent=2,
+                  default=_json_complex)
 
 
 def write_eigenvalue_csv(spectrum, path):

@@ -45,12 +45,11 @@ class StationaryReport:
 
 
 def pess_iterate(sys: SaddlePointSystem, cfg: GssConfig, d, u0=None,
-                 tol=1e-6, maxit=20000, precond=None) -> StationaryReport:
+                 tol=1e-6, maxit=20000) -> StationaryReport:
     """Run u <- u + P^{-1}(d - A u) until the relative true residual drops
     below ``tol``.  Raises Diverged when the residual exceeds 1e12."""
     t0 = time.perf_counter()
-    if precond is None:
-        precond = build(sys, cfg)
+    precond = build(sys, cfg)
     if hasattr(d, "to_array"):
         d = d.to_array()
     d = np.asarray(d, dtype=np.float64)

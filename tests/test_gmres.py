@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import lstsq
 
-from saddlekit.gmres import gmres, true_residual
+from saddlekit.gmres import BREAKDOWN, gmres, true_residual
 from saddlekit.precond import build, make_config
 from saddlekit.problems import case_preset, example1
 from saddlekit.system import rhs_for_ones, to_dense
@@ -84,6 +84,29 @@ def test_right_side_converges_only_on_true_residual(small_system,
     assert np.any(rep.res_history < tol)
     assert not (rep.converged and rep.true_final_res >= tol)
     # every iterate checked on the way is counted, the continuation included
+    assert (rep.n_matvec, rep.n_precond) == (len(ops), len(calls))
+
+
+def test_right_side_stops_on_stalled_confirm(monkeypatch):
+    # the drifting preconditioner again, on the paper's problem: the
+    # monitored residual falls toward 0 while the true residual stays put;
+    # the solve stops at the first failed confirm at rounding level instead
+    # of confirming every further step
+    sysv = example1(4)
+    P = build(sysv, case_preset("II", sysv, 12.0))
+    ops = count_operator_applies(monkeypatch)
+    calls = []
+
+    def drifting(r):
+        calls.append(1)
+        return P(r) * (1.0 + 0.01 * len(calls))
+
+    rep = gmres(sysv, rhs_for_ones(sysv), precond=drifting, tol=1e-8)
+    assert not rep.converged and rep.true_final_res >= 1e-8
+    # the last monitored residual is the first at rounding level
+    assert np.flatnonzero(rep.res_history <= BREAKDOWN).tolist() == [
+        rep.iterations]
+    assert rep.iterations < 10
     assert (rep.n_matvec, rep.n_precond) == (len(ops), len(calls))
 
 

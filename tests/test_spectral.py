@@ -11,13 +11,13 @@ import scipy.sparse.linalg as spla
 
 from saddlekit.dense import ConvergenceFailure, NotPositiveDefinite, Singular
 from saddlekit.precond import build, build_bd, make_config
-from saddlekit.problems import case_preset, example1
-from saddlekit.spectral import (InapplicableBound, check_pess_nonreal,
-                                check_real_interval, check_unit_disk,
-                                condition_number, lpess_bound_values,
-                                lpess_bounds, mu_transform,
-                                pess_nonreal_bounds, pess_real_interval,
-                                preconditioned_spectrum, report_to_dict,
+from saddlekit.problems import case_operands, case_preset, example1
+from saddlekit.spectral import (BoundReport, InapplicableBound,
+                                check_pess_nonreal, check_real_interval,
+                                check_unit_disk, condition_number,
+                                lpess_bound_values, lpess_bounds,
+                                mu_transform, pess_nonreal_bounds,
+                                pess_real_interval, preconditioned_spectrum,
                                 ScalarExtremes, scalar_extremes,
                                 write_eigenvalue_csv, write_spectral_report)
 from saddlekit.system import assemble, to_dense
@@ -84,6 +84,44 @@ def test_scalar_extremes_oracle(small_system):
     tt = np.linalg.eigvalsh(C @ C.T / 3.0) / 0.5
     assert ex.theta_tilde_min == pytest.approx(tt[0], rel=1e-9)
     assert ex.theta_tilde_max == pytest.approx(tt[-1], rel=1e-9)
+
+
+@pytest.mark.parametrize("kind", ["pess", "lpess"])
+def test_scalar_extremes_oracle_matrix_shifts(small_system, kind):
+    # the Case II operands L1 = A, L2 = I, L3 = 0.001 C C^T: every pencil
+    # but (., L2) has a matrix T; the reference is the unsymmetric
+    # eigenproblem T^{-1} S on explicitly formed S
+    L1, L2, L3 = case_operands("II", small_system)
+    params = {"lambda2": L2, "lambda3": 0.001 * L3, "s": 1.0}
+    if kind == "pess":
+        params["lambda1"] = L1
+    ex = scalar_extremes(small_system, make_config(kind, **params))
+    A = small_system.A.toarray()
+    B = small_system.B.toarray()
+    C = small_system.C.toarray()
+    lam3 = 0.001 * C @ C.T
+
+    def pencil(S, T):
+        return np.sort(np.linalg.eigvals(np.linalg.solve(T, S)).real)
+
+    I_m = np.eye(small_system.m)
+    if kind == "pess":
+        xi = pencil(A, A)
+        assert (ex.xi_min, ex.xi_max) == pytest.approx((xi[0], xi[-1]),
+                                                       rel=1e-9)
+        eta = pencil(B @ np.linalg.solve(A, B.T), I_m)
+        assert (ex.eta_min, ex.eta_max) == pytest.approx((eta[0], eta[-1]),
+                                                         rel=1e-9)
+    else:
+        assert ex.xi_max is None and ex.eta_min is None
+    theta = pencil(C.T @ np.linalg.solve(lam3, C), I_m)
+    assert ex.theta_max == pytest.approx(theta[-1], rel=1e-9)
+    vth = pencil(B @ np.linalg.solve(A, B.T), I_m)
+    assert (ex.vartheta_min, ex.vartheta_max) == pytest.approx(
+        (vth[0], vth[-1]), rel=1e-9)
+    tt = pencil(C @ C.T, lam3)
+    assert (ex.theta_tilde_min, ex.theta_tilde_max) == pytest.approx(
+        (tt[0], tt[-1]), rel=1e-9)
 
 
 def test_dropped_shift_extremes_are_none(small_system):
@@ -301,17 +339,30 @@ def test_condition_number_arpack_failure(small_system, monkeypatch):
 # -- serialization -----------------------------------------------------------
 
 
+def test_report_json_encodes_complex_only(tmp_path):
+    # a planted violation: its complex eigenvalue is written as re/im
+    rep = check_unit_disk(np.array([0.5 + 0.1j, 3.0 + 1.0j]), 1.0)
+    path = tmp_path / "reports.json"
+    write_spectral_report([rep], path)
+    (loaded,) = json.loads(path.read_text())
+    assert loaded["holds"] is False
+    assert loaded["violations"][0][0] == {"re": 3.0, "im": 1.0}
+    bad = BoundReport("unit-disk", {}, True, (), {"tags": {"x"}})
+    with pytest.raises(TypeError):
+        write_spectral_report([bad], path)
+
+
 def test_report_round_trip(small_system, tmp_path):
     cfg = pess_cfg(2.0)
     spec = preconditioned_spectrum(small_system, build(small_system, cfg))
     ex = scalar_extremes(small_system, cfg)
     reports = [check_unit_disk(spec, 2.0), check_real_interval(spec, ex, 2.0)]
-    d = report_to_dict(reports[0])
-    assert d["theorem"] == "unit-disk" and d["holds"] in (True, False)
     path = tmp_path / "reports.json"
     write_spectral_report(reports, path)
     loaded = json.loads(path.read_text())
     assert len(loaded) == 2
+    assert [(d["theorem"], d["holds"]) for d in loaded] == [
+        (r.theorem, r.holds) for r in reports]
     assert loaded[1]["bounds"]["upper"] == pytest.approx(
         pess_real_interval(ex, 2.0)[1])
 
