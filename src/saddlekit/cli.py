@@ -167,7 +167,8 @@ def _solve_one(kind, sys_, problem_id, args):
 def _solve_with(kind, P, meta, sys_, problem_id, args):
     """Solve with the built preconditioner ``P`` (None for the identity) for
     the right-hand side whose solution is all ones; return the report and
-    its record, which carries the monitored and the true residual."""
+    its record, which carries the monitored and the true residual, the
+    apply counts and the seconds of each solver phase (``<phase>_s``)."""
     rep = gmres(sys_, rhs_for_ones(sys_),
                 precond=None if P is None else P.apply, tol=args.tol,
                 maxit=args.maxit, side=args.side)
@@ -175,7 +176,9 @@ def _solve_with(kind, P, meta, sys_, problem_id, args):
         process=kind, problem=problem_id, size=sys_.size,
         it=rep.iterations, res=rep.final_res, wall_seconds=rep.wall_seconds,
         params={**meta, "tol": args.tol, "maxit": args.maxit,
-                "side": rep.side, "true_res": rep.true_final_res},
+                "side": rep.side, "true_res": rep.true_final_res,
+                "n_matvec": rep.n_matvec, "n_precond": rep.n_precond,
+                **{f"{k}_s": t for k, t in rep.phase_seconds.items()}},
         converged=rep.converged)
     return rep, record
 

@@ -38,7 +38,22 @@ matching the two conventions found in published tables:
 ||A u - d|| / ||d|| of the returned iterate.  The iteration count is the
 number of Arnoldi steps taken; ``n_matvec`` and ``n_precond`` count the
 operator and preconditioner applies the solve made, residual checks
-included.
+included.  ``phase_seconds`` splits the solve's time over ``PHASES``:
+operator applies, preconditioner applies (0 without a preconditioner),
+orthogonalization with the Givens update, and the residual confirms, each
+of which assembles an iterate and makes its own applies.  The phases sum to
+at most ``wall_seconds``.
+
+The basis and the Hessenberg matrix are allocated in ``BASIS_BLOCK``-row
+blocks as the basis grows, never sized from ``maxit`` and never copied.  A
+basis block holds BASIS_BLOCK vectors plus one spare row, so that the
+vector being finished and the new one are always adjacent rows of one
+block: the first vector of the next block is made in the spare row, and
+the next block starts from a copy of it, one row per block.  Hessenberg
+block b holds Arnoldi columns as rows, cut to the BASIS_BLOCK * (b + 1) + 1
+entries they can fill, which is about half of the square.  A solve of k
+steps holds about 8 k N bytes of basis, 4 k^2 of Hessenberg blocks and,
+while an iterate is assembled, the 8 k^2 of the dense triangular factor R.
 """
 
 from __future__ import annotations
@@ -53,6 +68,8 @@ from scipy.linalg.blas import drot, dtrsv
 from .system import BlockVector, SaddlePointSystem, operator_apply
 
 BASIS_BLOCK = 64
+# The phases of ``SolveReport.phase_seconds``.
+PHASES = ("operator_apply", "precond_apply", "orthogonalize", "confirm")
 # Breakdown: the new direction is this small relative to ||Op(v_k)||.
 BREAKDOWN = 1e-14
 
@@ -69,6 +86,7 @@ class SolveReport:
     true_final_res: float
     n_matvec: int
     n_precond: int
+    phase_seconds: dict
 
     def __str__(self):
         tag = "converged" if self.converged else "stalled"
@@ -86,14 +104,26 @@ def true_residual(sys: SaddlePointSystem, u, d) -> float:
     return float(np.linalg.norm(operator_apply(sys, u) - d) / nd)
 
 
+def _flat(name, vec, N):
+    """``vec`` as a float64 array of length N with finite entries."""
+    vec = (vec.to_array() if isinstance(vec, BlockVector)
+           else np.asarray(vec, dtype=np.float64))
+    if vec.shape != (N,):
+        raise ValueError(f"{name} length does not match system size")
+    if not np.isfinite(vec).all():
+        raise ValueError(f"{name} has non-finite entries")
+    return vec
+
+
 def gmres(sys: SaddlePointSystem, d, precond=None, tol=1e-6, maxit=7000,
           x0=None, side="right") -> SolveReport:
     """Solve A u = d by full GMRES preconditioned by ``precond``.
 
     ``precond`` is a callable solving P w = r (or None for the identity).
     Starts from the zero vector unless ``x0`` is given.  Raises
-    ``ValueError`` for a ``tol`` that is not positive and finite or a
-    ``maxit`` below 1.
+    ``ValueError`` for a ``tol`` that is not positive and finite, a
+    ``maxit`` below 1, or a ``d`` or ``x0`` of the wrong length or with
+    non-finite entries.
     """
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
@@ -102,61 +132,86 @@ def gmres(sys: SaddlePointSystem, d, precond=None, tol=1e-6, maxit=7000,
     if maxit < 1:
         raise ValueError(f"maxit must be at least 1, got {maxit}")
     t0 = time.perf_counter()
-    d = d.to_array() if isinstance(d, BlockVector) else np.asarray(d, dtype=np.float64)
     N = sys.size
-    if d.shape != (N,):
-        raise ValueError("rhs length does not match system size")
+    d = _flat("rhs", d, N)
+    x0 = np.zeros(N) if x0 is None else _flat("x0", x0, N)
     apply_p = (lambda r: r) if precond is None else precond
     right = side == "right"
 
-    x0 = np.zeros(N) if x0 is None else np.asarray(x0, dtype=np.float64)
+    phases = dict.fromkeys(PHASES, 0.0)
+    mark = time.perf_counter()
+
+    def lap(phase):
+        """Charge the time since the previous lap to ``phase``."""
+        nonlocal mark
+        now = time.perf_counter()
+        phases[phase] += now - mark
+        mark = now
+
+    def report(converged, it, x, true_res):
+        n_precond = n_apply
+        if precond is None:  # the identity is neither counted nor timed
+            n_precond, phases["precond_apply"] = 0, 0.0
+        return SolveReport(converged, it, history[-1], np.asarray(history),
+                           time.perf_counter() - t0, x, side, true_res,
+                           n_matvec, n_precond, phases)
+
     nd = float(np.linalg.norm(d)) or 1.0
     r0 = d - operator_apply(sys, x0)
+    lap("operator_apply")
     n_matvec, n_apply = 1, 0
     true_res = float(np.linalg.norm(r0) / nd)
     if not right:
         r0 = apply_p(r0)
         nd = float(np.linalg.norm(apply_p(d))) or 1.0
         n_apply += 2
+        lap("precond_apply")
     beta = float(np.linalg.norm(r0))
     history = [beta / nd]
     if history[0] < tol:
-        return SolveReport(True, 0, history[0], np.asarray(history),
-                           time.perf_counter() - t0, x0, side, true_res,
-                           n_matvec, n_apply if precond is not None else 0)
+        return report(True, 0, x0, true_res)
 
     maxit = min(maxit, N)
-    V = np.empty((BASIS_BLOCK, N))  # the Arnoldi basis, one vector per row
-    H = np.zeros((BASIS_BLOCK, BASIS_BLOCK + 1))  # row j: Arnoldi column j
-    xi = np.zeros(BASIS_BLOCK + 1)  # rotated diagonal of column k: xi @ H[k]
+    # basis vector and Arnoldi column j are row j % BASIS_BLOCK of block
+    # j // BASIS_BLOCK of V and of H (basis blocks have a spare last row)
+    V, H = [], []
+    xi = np.zeros(maxit + 1)  # rotated diagonal of column k: xi @ column k
     xi[0] = 1.0
-    V[0] = r0 / beta
     cs, sn = [], []
     g = [beta]
 
+    def column(j):
+        """Arnoldi column j, a row of its block of H."""
+        return H[j // BASIS_BLOCK][j % BASIS_BLOCK]
+
+    def leading(blocks, k):
+        """(j0, rows j0.. of its block) over the first k rows of V or H."""
+        for j0 in range(0, k, BASIS_BLOCK):
+            yield j0, blocks[j0 // BASIS_BLOCK][:min(BASIS_BLOCK, k - j0)]
+
     def project(k, X):
-        """One classical Gram-Schmidt pass of the rows X against V[:k], in
-        chunks that stay in cache between their dot products and their
-        update; returns the k x len(X) coefficients."""
+        """One classical Gram-Schmidt pass of the rows X against V[:k], a
+        block at a time so that each stays in cache between its dot
+        products and its update; returns the k x len(X) coefficients."""
         C = np.empty((k, X.shape[0]))
-        for c0 in range(0, k, BASIS_BLOCK):
-            Q = V[c0:min(c0 + BASIS_BLOCK, k)]
-            C[c0:c0 + len(Q)] = c = Q @ X.T
+        for j0, Q in leading(V, k):
+            C[j0:j0 + len(Q)] = c = Q @ X.T
             X -= c.T @ Q
         return C
 
-    def finalize(j, s):
-        """Finish column j once V[j+1] has had its second pass, whose
-        coefficients are s: correct the column, normalize V[j+1] and rotate.
-        Returns the second norm, the monitored residual and breakdown."""
-        col = H[j]
-        nu = math.sqrt(V[j + 1] @ V[j + 1])
+    def finalize(j, vec, s):
+        """Finish column j once vector j+1, ``vec``, has had its second
+        pass, whose coefficients are s: correct the column, normalize
+        ``vec`` and rotate.  Returns the second norm, the monitored residual
+        and breakdown."""
+        col = column(j)
+        nu = math.sqrt(vec @ vec)
         col[:j + 1] += col[j + 1] * s
         col[j + 1] = h = float(col[j + 1] * nu)
         # ||Op(v_j)|| = ||column j||: the breakdown test is scale-free
         breakdown = h <= BREAKDOWN * math.sqrt(col[:j + 2] @ col[:j + 2])
         if not breakdown:
-            V[j + 1] /= nu
+            vec /= nu
         a = float(xi[:j + 1] @ col[:j + 1])
         r = math.hypot(a, h)
         c, sj = a / r, h / r
@@ -169,6 +224,16 @@ def gmres(sys: SaddlePointSystem, d, precond=None, tol=1e-6, maxit=7000,
         history.append(abs(g[j + 1]) / nd)
         return nu, history[-1], breakdown
 
+    def left_product(y, blocks, k, width):
+        """y @ M[:k, :width] for the blocked V or H as M.  The block that
+        holds row k-1 is the widest, so its product starts the sum."""
+        j0 = (k - 1) // BASIS_BLOCK * BASIS_BLOCK
+        out = y[j0:k] @ blocks[j0 // BASIS_BLOCK][:k - j0, :width]
+        for j, M in leading(blocks, j0):
+            M = M[:, :width]
+            out[:M.shape[1]] += y[j:j + len(M)] @ M
+        return out
+
     def confirm(k, res, breakdown):
         """Assemble the iterate after k steps; returns it, its true residual,
         whether the solve converged and whether it stops.  It stops
@@ -176,51 +241,70 @@ def gmres(sys: SaddlePointSystem, d, precond=None, tol=1e-6, maxit=7000,
         rounding level (<= BREAKDOWN): the least-squares problem is then
         solved, and later steps cannot move the iterate."""
         nonlocal n_matvec, n_apply
-        R = H[:k, :k + 1].T.copy()
+        lap("orthogonalize")
+        R = np.zeros((k + 1, k))  # the first k columns of H, transposed
+        for j0, Hb in leading(H, k):
+            Hb = Hb[:, :k + 1]
+            R[:Hb.shape[1], j0:j0 + len(Hb)] = Hb.T
         for j in range(k):  # the stored rotations, row by row, in place
             drot(R[j, j:], R[j + 1, j:], cs[j], sn[j], overwrite_x=True,
                  overwrite_y=True)
         y = dtrsv(R[:k].T, np.asarray(g[:k]), lower=1, trans=1)  # R y = g
-        corr = y @ V[:k]
+        corr = left_product(y, V, k, N)
         u = x0 + (apply_p(corr) if right else corr)
         n_matvec += 1
         n_apply += right
         tr = true_residual(sys, u, d)
         converged = res < tol and (not right or tr < tol)
+        lap("confirm")
         return u, tr, converged, converged or breakdown or res <= BREAKDOWN
+
+    def op(vec):
+        """Op(vec) on the solve's side, its two applies timed apart."""
+        lap("orthogonalize")
+        if right:
+            vec = apply_p(vec)
+            lap("precond_apply")
+        vec = operator_apply(sys, vec)
+        lap("operator_apply")
+        if not right:
+            vec = apply_p(vec)
+            lap("precond_apply")
+        return vec
 
     it = 0
     converged = False
     x = x0
-    pending = False  # V[k] has had one Gram-Schmidt pass, column k-1 waits
+    pending = False  # v_k has had one Gram-Schmidt pass, column k-1 waits
     for k in range(maxit):
-        if k + 1 >= V.shape[0]:
-            V = np.concatenate([V, np.empty((BASIS_BLOCK, N))])
-            H = np.pad(H, ((0, BASIS_BLOCK), (0, BASIS_BLOCK)))
-            xi = np.pad(xi, (0, BASIS_BLOCK))
-        V[k + 1] = (operator_apply(sys, apply_p(V[k])) if right
-                    else apply_p(operator_apply(sys, V[k])))
+        i = k % BASIS_BLOCK
+        if i == 0:
+            V.append(np.empty((BASIS_BLOCK + 1, N)))
+            V[-1][0] = V[-2][BASIS_BLOCK] if k else r0 / beta
+            H.append(np.zeros((BASIS_BLOCK, k + BASIS_BLOCK + 1)))
+        X = V[-1][i:i + 2]
+        v, w, col = X[0], X[1], H[-1][i]
+        w[:] = op(v)
         n_matvec += 1
         n_apply += 1
-        v, w, col = V[k], V[k + 1], H[k]
         if pending:
-            # one sweep: V[k]'s second pass (coefficients s) and w's first
-            # (z).  With v the finished V[k], Op(v) = (w - V H[:k] s) / nu,
-            # so v's column follows from z and s without another apply.
-            s, z = project(k, V[k:k + 2]).T
-            nu, res, breakdown = finalize(k - 1, s)
+            # one sweep: v's second pass (coefficients s) and w's first (z).
+            # With v finished, Op(v) = (w - V H[:k] s) / nu, so its column
+            # follows from z and s without another apply.
+            s, z = project(k, X).T
+            nu, res, breakdown = finalize(k - 1, v, s)
             it = k
             if res < tol or breakdown:
                 x, true_res, converged, stop = confirm(it, res, breakdown)
                 if stop:
                     break
             t = float(v @ w)
-            col[:k] = (z - s @ H[:k, :k]) / nu
-            col[k] = (t - H[k - 1, k] * s[-1]) / nu
+            col[:k] = (z - left_product(s, H, k, k)) / nu
+            col[k] = (t - column(k - 1)[k] * s[-1]) / nu
             w -= t * v  # nu times the projected Op(v)
             scale = 1.0 / nu
         else:
-            col[:k + 1] = project(k + 1, V[k + 1:k + 2])[:, 0]
+            col[:k + 1] = project(k + 1, X[1:])[:, 0]
             scale = 1.0
         nrm = math.sqrt(w @ w)
         col[k + 1] = h = nrm * scale
@@ -235,14 +319,13 @@ def gmres(sys: SaddlePointSystem, d, precond=None, tol=1e-6, maxit=7000,
         pending = not (breakdown or k + 1 == maxit
                        or h * abs(g[k]) < tol * nd * math.hypot(a, h))
         if not pending:
-            s = project(k + 1, V[k + 1:k + 2])[:, 0]
-            _, res, breakdown = finalize(k, s)
+            s = project(k + 1, X[1:])[:, 0]
+            _, res, breakdown = finalize(k, w, s)
             it = k + 1
             if res < tol or breakdown or it == maxit:
                 x, true_res, converged, stop = confirm(it, res, breakdown)
                 if stop:
                     break
 
-    return SolveReport(converged, it, history[-1], np.asarray(history),
-                       time.perf_counter() - t0, x, side, true_res,
-                       n_matvec, n_apply if precond is not None else 0)
+    lap("orthogonalize")
+    return report(converged, it, x, true_res)

@@ -92,12 +92,17 @@ class PredicateReport:
     witness: complex
     lhs_values: np.ndarray
     eigenvalues: np.ndarray
+    s_critical: float
 
 
 def convergence_predicate(sys: SaddlePointSystem, cfg: GssConfig,
                           mu=None) -> PredicateReport:
     """(2s-1)|mu|^2 + 2 Re(mu) > 0 over the scaled spectrum; the witness is
-    the eigenvalue attaining the minimal left-hand side."""
+    the eigenvalue attaining the minimal left-hand side.
+
+    ``s_critical`` is max over mu of 1/2 - Re(mu)/|mu|^2, the exact
+    threshold: the predicate holds iff s > s_critical.  The scaled spectrum
+    does not depend on s, and Re(mu) >= 0 makes s_critical <= 1/2."""
     if not cfg.is_pess:
         raise ValueError("predicate needs an SPD (1,1) shift")
     if mu is None:
@@ -105,8 +110,9 @@ def convergence_predicate(sys: SaddlePointSystem, cfg: GssConfig,
     mu = np.asarray(mu, dtype=np.complex128)
     lhs = (2.0 * cfg.s - 1.0) * np.abs(mu) ** 2 + 2.0 * mu.real
     k = int(np.argmin(lhs))
+    s_critical = float(np.max(0.5 - mu.real / np.abs(mu) ** 2))
     return PredicateReport(bool(np.all(lhs > 0.0)), float(lhs[k]), complex(mu[k]),
-                           lhs, mu)
+                           lhs, mu, s_critical)
 
 
 def sufficient_s_lower_bound(sys: SaddlePointSystem, cfg: GssConfig) -> float:

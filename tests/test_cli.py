@@ -17,7 +17,7 @@ import saddlekit
 from saddlekit import cli, precond
 from saddlekit.cli import EXIT_NOCONV, EXIT_OK, EXIT_USAGE, main
 from saddlekit.dense import Singular
-from saddlekit.gmres import gmres
+from saddlekit.gmres import PHASES, gmres
 from saddlekit.mmio import write_matrix_market
 from saddlekit.problems import NoiseSpec, example1, perturb
 from saddlekit.spectral import analyze
@@ -70,7 +70,14 @@ def test_solve_json_report(tmp_path):
     assert rc == EXIT_OK
     payload = json.loads(report.read_text())
     assert payload[0]["process"] == "lpess" and payload[0]["converged"]
-    assert payload[0]["params"]["true_res"] < 1e-6
+    params = payload[0]["params"]
+    assert params["true_res"] < 1e-6
+    # one apply of each per step, plus r0 and the confirming residual
+    assert (params["n_matvec"], params["n_precond"]) == (payload[0]["it"] + 2,
+                                                         payload[0]["it"] + 1)
+    phases = [params[f"{k}_s"] for k in PHASES]
+    assert all(isinstance(t, float) and t >= 0.0 for t in phases)
+    assert sum(phases) <= payload[0]["wall_seconds"] + 5e-4  # rounded to ms
 
 
 def test_solve_nonconvergence_exit_code():
@@ -91,6 +98,10 @@ def test_compare_flow(tmp_path, capsys):
     assert rc == EXIT_OK
     rows = list(csv.reader(report.read_text().splitlines()))
     assert [r[0] for r in rows[1:]] == ["ss", "rss", "pess", "bd"]
+    for row in rows[1:]:
+        params = dict(kv.split("=", 1) for kv in row[6].split(";"))
+        assert int(params["n_matvec"]) == int(row[3]) + 2
+        assert all(float(params[f"{k}_s"]) >= 0.0 for k in PHASES)
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 4
     # right side by default: every converged row's true residual is below tol

@@ -2,12 +2,14 @@
 and the two preconditioning conventions."""
 
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import lstsq
 
-from saddlekit.gmres import BREAKDOWN, gmres, true_residual
+from saddlekit.gmres import (BASIS_BLOCK, BREAKDOWN, PHASES, gmres,
+                             true_residual)
 from saddlekit.precond import build, make_config
 from saddlekit.problems import case_preset, example1
 from saddlekit.system import rhs_for_ones, to_dense
@@ -228,6 +230,44 @@ def test_bad_side_and_rhs_length(small_system):
         gmres(small_system, np.ones(3))
 
 
+@pytest.mark.parametrize("arg,bad,message", [
+    ("d", np.nan, "rhs has non-finite entries"),
+    ("d", np.inf, "rhs has non-finite entries"),
+    ("x0", np.nan, "x0 has non-finite entries"),
+    ("x0", -np.inf, "x0 has non-finite entries"),
+    ("x0", "short", "x0 length does not match system size"),
+], ids=["rhs-nan", "rhs-inf", "x0-nan", "x0-inf", "x0-length"])
+def test_bad_rhs_and_x0(small_system, arg, bad, message):
+    # before any apply: a NaN rhs would otherwise run maxit steps to a NaN
+    kwargs = {"d": np.ones(small_system.size), "x0": None}
+    if bad == "short":
+        kwargs[arg] = np.zeros(small_system.size - 1)
+    else:
+        kwargs[arg] = np.ones(small_system.size)
+        kwargs[arg][3] = bad
+    with pytest.raises(ValueError, match=message):
+        gmres(small_system, **kwargs)
+
+
+@pytest.mark.parametrize("kind,side", [(None, "right"), ("pess", "right"),
+                                       ("ss", "left")])
+def test_phase_seconds(small_system, kind, side):
+    P = None
+    if kind == "pess":
+        P = build(small_system, make_config("pess", lambda1=1.0, lambda2=1.0,
+                                            lambda3=0.001, s=2.0)).apply
+    elif kind == "ss":
+        P = build(small_system, make_config("ss", alpha=0.1)).apply
+    rep = gmres(small_system, rhs_for_ones(small_system), precond=P,
+                tol=1e-10, side=side)
+    assert rep.converged
+    assert tuple(rep.phase_seconds) == PHASES
+    assert all(t >= 0.0 for t in rep.phase_seconds.values())
+    assert sum(rep.phase_seconds.values()) <= rep.wall_seconds
+    # the identity preconditioner is neither counted nor timed
+    assert (rep.phase_seconds["precond_apply"] == 0.0) == (P is None)
+
+
 def test_report_str(small_system):
     rep = gmres(small_system, rhs_for_ones(small_system), tol=1e-6)
     text = str(rep)
@@ -263,9 +303,16 @@ def reference_history(sys_, d, precond, side, steps):
     return np.array(hist)
 
 
-@pytest.mark.parametrize("case", ["none-l6", "pess-II-right-l8",
-                                  "ss-left-l8"])
-def test_history_matches_dense_reference(case):
+@pytest.mark.parametrize("case,maxit", [
+    pytest.param("none-l6", 7000, id="none-l6"),
+    # the 139-step run cut on both sides of the block boundaries
+    *(pytest.param("none-l6", m, id=f"none-l6-maxit{m}")
+      for m in (BASIS_BLOCK - 1, BASIS_BLOCK, BASIS_BLOCK + 1,
+                2 * BASIS_BLOCK)),
+    pytest.param("pess-II-right-l8", 7000, id="pess-II-right-l8"),
+    pytest.param("ss-left-l8", 7000, id="ss-left-l8"),
+])
+def test_history_matches_dense_reference(case, maxit):
     # the delayed second Gram-Schmidt pass and the one-dot Givens update
     # reproduce the textbook recurrence step by step
     sysv = example1(6 if case == "none-l6" else 8)
@@ -276,7 +323,32 @@ def test_history_matches_dense_reference(case):
     else:
         P, side = build(sysv, make_config("ss", alpha=0.1)).apply, "left"
     d = rhs_for_ones(sysv).to_array()
-    rep = gmres(sysv, d, precond=P, tol=1e-6, side=side)
-    assert rep.converged
+    rep = gmres(sysv, d, precond=P, tol=1e-6, side=side, maxit=maxit)
+    assert rep.converged == (rep.iterations < maxit)
     ref = reference_history(sysv, d, P, side, rep.iterations)
     np.testing.assert_allclose(rep.res_history, ref, rtol=1e-8, atol=0)
+    if side == "right":  # the iterate assembled across the blocks
+        assert rep.true_final_res == pytest.approx(ref[-1], rel=1e-6)
+
+
+def test_workspace_peak():
+    # the basis and Hessenberg blocks are allocated once and never copied;
+    # a basis block has one spare row, and the Hessenberg block b is only
+    # BASIS_BLOCK * (b + 1) + 1 wide
+    sysv = example1(8)
+    d = rhs_for_ones(sysv).to_array()
+    sysv.matrix  # the operator is built before the solve, not during it
+    tracemalloc.start()
+    try:
+        rep = gmres(sysv, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    k, N = rep.iterations, sysv.size
+    assert rep.converged and k == 242
+    blocks = -(-(k + 1) // BASIS_BLOCK)
+    basis = blocks * (BASIS_BLOCK + 1) * N * 8
+    hessenberg = sum(BASIS_BLOCK * (BASIS_BLOCK * (b + 1) + 1) * 8
+                     for b in range(blocks))
+    r_factor = (k + 1) * k * 8
+    assert peak < 1.1 * (basis + hessenberg + r_factor)

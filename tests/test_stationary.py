@@ -153,3 +153,32 @@ def test_sufficient_bound_matches_dense_formula_example1(case):
     cfg = case_preset(case, sysv, s=1.0)
     assert sufficient_s_lower_bound(sysv, cfg) == pytest.approx(
         dense_sufficient_bound(sysv, cfg), abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_predicate_holds_exactly_above_s_critical(seed):
+    # s_critical is the predicate's threshold; the scaled spectrum does not
+    # depend on s, so one spectrum serves every s
+    sysv = random_system(np.random.default_rng(400 + seed), n=10, m=6, p=4)
+    mu = scaled_spectrum(sysv, pess_cfg(1.0, lam3=1e-4))
+    s_crit = convergence_predicate(sysv, pess_cfg(1.0, lam3=1e-4),
+                                   mu=mu).s_critical
+    assert s_crit <= 0.5
+    for s in (0.01, s_crit - 0.05, s_crit - 1e-6, s_crit + 1e-6,
+              s_crit + 0.05, 0.5, 2.0):
+        pred = convergence_predicate(sysv, pess_cfg(s, lam3=1e-4), mu=mu)
+        assert pred.s_critical == s_crit
+        assert pred.holds == (s > s_crit), (seed, s, s_crit)
+
+
+def test_s_critical_separates_divergence_on_example1():
+    # example1(8), Case I: s_critical is 1/2 to about 1e-13, and the
+    # stationary iteration diverges just below it and converges just above
+    sysv = example1(8)
+    s_crit = convergence_predicate(sysv, case_preset("I", sysv, s=1.0)).s_critical
+    assert 0.49 < s_crit <= 0.5
+    d = rhs_for_ones(sysv)
+    with pytest.raises(Diverged):
+        pess_iterate(sysv, case_preset("I", sysv, s=s_crit - 0.01), d)
+    rep = pess_iterate(sysv, case_preset("I", sysv, s=s_crit + 0.01), d)
+    assert rep.converged
