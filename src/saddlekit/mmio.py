@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.io
@@ -87,6 +87,12 @@ def _params_str(params: dict) -> str:
     return ";".join(f"{k}={v}" for k, v in sorted(params.items()))
 
 
+def _json_scalar(v):
+    """``json.dump``'s hook for what it cannot write: a numpy scalar as its
+    Python value, so ints stay ints; anything else as its string."""
+    return v.item() if isinstance(v, np.generic) else str(v)
+
+
 CSV_COLUMNS = ["process", "problem", "size", "it", "res", "wall_seconds",
                "params"]
 
@@ -101,15 +107,8 @@ def write_report(records, fmt, path):
                             format_res(r.res), f"{r.wall_seconds:.3f}",
                             _params_str(r.params)])
     elif fmt == "json":
-        payload = [{
-            "process": r.process, "problem": r.problem, "size": r.size,
-            "it": r.it, "res": float(r.res),
-            "wall_seconds": round(r.wall_seconds, 3),
-            "params": {k: (float(v) if isinstance(v, (int, float, np.floating))
-                           else str(v)) for k, v in r.params.items()},
-            "converged": r.converged,
-        } for r in records]
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
+            json.dump([asdict(r) for r in records], fh, indent=2,
+                      default=_json_scalar)
     else:
         raise ValueError(f"unknown report format {fmt!r}")

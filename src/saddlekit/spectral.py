@@ -29,7 +29,7 @@ import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from .dense import ConvergenceFailure, Singular, norm2, require_spd
-from .precond import GssConfig, operand_sparse, schur
+from .precond import GssConfig, operand_sparse, schur, sigma_matrix
 from .system import SaddlePointSystem, to_dense
 
 THETA_TILDE_CONVENTION = "lambda3_inv_C_lambda2_inv_Ct"
@@ -76,6 +76,13 @@ def preconditioned_spectrum(sys: SaddlePointSystem, precond=None) -> np.ndarray:
         return sla.eigvals(M)
     except sla.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise ConvergenceFailure(str(exc)) from exc
+
+
+def scaled_spectrum(sys: SaddlePointSystem, cfg: GssConfig) -> np.ndarray:
+    """eig(Sigma^{-1/2} A Sigma^{-1/2}), computed as eig(Sigma^{-1} A), a
+    similar matrix, with Sigma factored by ``require_spd``."""
+    return preconditioned_spectrum(
+        sys, require_spd(sigma_matrix(sys, cfg), "Sigma").solve)
 
 
 def _pencil_extremes(S, T):
@@ -196,13 +203,9 @@ def pess_nonreal_bounds(extremes: ScalarExtremes, s: float) -> dict:
     }
 
 
-def check_pess_nonreal(spectrum, extremes: ScalarExtremes, s: float) -> BoundReport:
-    """Each non-real eigenvalue must satisfy the modulus window (part 1) or
-    the mu-plane box (part 2)."""
-    b = pess_nonreal_bounds(extremes, s)
-    lam = np.asarray(spectrum, dtype=np.complex128)
-    nonreal = lam[~_is_real(lam)]
-    mu = mu_transform(nonreal, s)
+def _nonreal_disjunction(nonreal, mu, b: dict, s: float) -> BoundReport:
+    """The disjunction on the non-real eigenvalues and their mu, with ``b``
+    from ``pess_nonreal_bounds``."""
     part1 = _outside(np.abs(nonreal), b["mod_lower"], b["mod_upper"])
     part2 = np.maximum(_outside(mu.real, b["re_mu_lower"], b["re_mu_upper"]),
                        np.abs(mu.imag) - b["im_mu_bound"])
@@ -213,6 +216,15 @@ def check_pess_nonreal(spectrum, extremes: ScalarExtremes, s: float) -> BoundRep
                    {"s": s, "count_nonreal": int(nonreal.size),
                     "branches": list(zip(nonreal[~bad].tolist(),
                                          branch[~bad].tolist()))})
+
+
+def check_pess_nonreal(spectrum, extremes: ScalarExtremes, s: float) -> BoundReport:
+    """Each non-real eigenvalue must satisfy the modulus window (part 1) or
+    the mu-plane box (part 2), with mu from ``mu_transform``."""
+    b = pess_nonreal_bounds(extremes, s)
+    lam = np.asarray(spectrum, dtype=np.complex128)
+    nonreal = lam[~_is_real(lam)]
+    return _nonreal_disjunction(nonreal, mu_transform(nonreal, s), b, s)
 
 
 def lpess_bound_values(extremes: ScalarExtremes, s: float) -> dict:
@@ -265,16 +277,25 @@ def analyze(sys: SaddlePointSystem, P=None):
     """(spectrum, extremes, reports) of P^{-1} A, or of A without P.  The
     checks follow P's config: none without one (P None or bd); else the
     unit disk, then the real interval and the non-real disjunction if L1
-    is kept, or the dropped-shift bounds; each found as a module global."""
-    spec = preconditioned_spectrum(sys, P)
+    is kept, or the dropped-shift bounds; each found as a module global.
+    With L1 kept (P = Sigma + s A) the spectrum is mu/(1 + s mu) over mu in
+    ``scaled_spectrum``, and part (2) reads that mu, which ``mu_transform``
+    would blur by 1/|1 - s lambda|^2 near 1/s."""
     cfg = getattr(P, "config", None)
     if cfg is None:
-        return spec, None, ()
+        return preconditioned_spectrum(sys, P), None, ()
     s, ext = cfg.s, scalar_extremes(sys, cfg)
-    reports = (check_unit_disk(spec, s),) + (
-        (check_real_interval(spec, ext, s), check_pess_nonreal(spec, ext, s))
-        if cfg.is_pess else (lpess_bounds(spec, ext, s, sys.n),))
-    return spec, ext, reports
+    if not cfg.is_pess:
+        spec = preconditioned_spectrum(sys, P)
+        return spec, ext, (check_unit_disk(spec, s),
+                           lpess_bounds(spec, ext, s, sys.n))
+    mu = scaled_spectrum(sys, cfg)
+    spec = mu / (1.0 + s * mu)
+    nonreal = ~_is_real(spec)
+    return spec, ext, (check_unit_disk(spec, s),
+                       check_real_interval(spec, ext, s),
+                       _nonreal_disjunction(spec[nonreal], mu[nonreal],
+                                            pess_nonreal_bounds(ext, s), s))
 
 
 def condition_number(sys: SaddlePointSystem, precond=None) -> float:

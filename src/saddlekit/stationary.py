@@ -24,7 +24,7 @@ import numpy as np
 
 from .dense import ConvergenceFailure, require_spd
 from .precond import GssConfig, build, sigma_matrix
-from .spectral import preconditioned_spectrum
+from .spectral import scaled_spectrum
 from .system import SaddlePointSystem, operator_apply
 
 DIVERGENCE_THRESHOLD = 1e12
@@ -54,18 +54,14 @@ def pess_iterate(sys: SaddlePointSystem, cfg: GssConfig, d, u0=None,
         d = d.to_array()
     d = np.asarray(d, dtype=np.float64)
     x = np.zeros(sys.size) if u0 is None else np.asarray(u0, dtype=np.float64).copy()
-    nd = np.linalg.norm(d)
-    if nd == 0.0:
-        nd = 1.0
+    nd = np.linalg.norm(d) or 1.0
     history = []
-    converged = False
     it = 0
     while True:
         r = d - operator_apply(sys, x)
         res = float(np.linalg.norm(r) / nd)
         history.append(res)
         if res < tol:
-            converged = True
             break
         if res > DIVERGENCE_THRESHOLD:
             raise Diverged(f"residual {res:.3e} exceeded {DIVERGENCE_THRESHOLD:.0e} "
@@ -74,15 +70,8 @@ def pess_iterate(sys: SaddlePointSystem, cfg: GssConfig, d, u0=None,
             break
         x = x + precond.apply(r)
         it += 1
-    return StationaryReport(converged, it, history[-1], np.asarray(history),
+    return StationaryReport(res < tol, it, res, np.asarray(history),
                             time.perf_counter() - t0, x)
-
-
-def scaled_spectrum(sys: SaddlePointSystem, cfg: GssConfig) -> np.ndarray:
-    """eig(Sigma^{-1/2} A Sigma^{-1/2}), computed as eig(Sigma^{-1} A), a
-    similar matrix, with Sigma factored by ``require_spd``."""
-    return preconditioned_spectrum(
-        sys, require_spd(sigma_matrix(sys, cfg), "Sigma").solve)
 
 
 @dataclass(frozen=True)

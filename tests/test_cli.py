@@ -41,14 +41,37 @@ def test_solve_unpreconditioned(capsys):
     assert float(printed_field(out, "true_res")) < 1e-6
 
 
-def test_python_dash_m_runs_the_cli():
+def cli_env(**extra):
+    """The environment of a ``python -m saddlekit`` subprocess that imports
+    this checkout's package."""
     src = str(Path(saddlekit.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
+def test_python_dash_m_runs_the_cli():
     proc = subprocess.run([sys.executable, "-m", "saddlekit", "solve", *GEN],
                           capture_output=True, text=True, timeout=120,
-                          env={**os.environ, "PYTHONPATH": path})
+                          env=cli_env())
     assert proc.returncode == EXIT_OK, proc.stderr
     assert "it=" in proc.stdout
+
+
+def test_spectrum_verdict_does_not_depend_on_blas_threads():
+    # pess Case I, s=12, has non-real eigenvalues within 1e-7 of 1/s; the
+    # verdict must not move with the BLAS thread count
+    cmd = [sys.executable, "-m", "saddlekit", "spectrum", "--gen-l", "12",
+           "--precond", "pess", "--case", "I"]
+    procs = [subprocess.Popen(cmd, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True,
+                              env=cli_env(OPENBLAS_NUM_THREADS=n,
+                                          OMP_NUM_THREADS=n))
+             for n in ("1", "2")]
+    outs = [proc.communicate(timeout=120) for proc in procs]
+    for proc, (_, err) in zip(procs, outs):
+        assert proc.returncode == EXIT_OK, err
+    assert outs[0][0] == outs[1][0]
+    assert "nonreal-disjunction: holds (0 violations)\n" in outs[0][0]
 
 
 def test_solve_pess_with_report(tmp_path, capsys):
@@ -77,7 +100,10 @@ def test_solve_json_report(tmp_path):
                                                          payload[0]["it"] + 1)
     phases = [params[f"{k}_s"] for k in PHASES]
     assert all(isinstance(t, float) and t >= 0.0 for t in phases)
-    assert sum(phases) <= payload[0]["wall_seconds"] + 5e-4  # rounded to ms
+    # JSON keeps every float exact, so only the sum's rounding is allowed
+    assert sum(phases) <= payload[0]["wall_seconds"] * (1 + 1e-12)
+    assert isinstance(params["maxit"], int)
+    assert isinstance(params["n_matvec"], int)
 
 
 def test_solve_nonconvergence_exit_code():

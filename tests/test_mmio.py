@@ -144,6 +144,29 @@ def test_write_report_json(tmp_path):
     assert payload[0]["converged"] is True
 
 
+def test_write_report_json_keeps_number_types(tmp_path):
+    # the parameters as a solve row carries them: Python and numpy ints,
+    # floats, a bool and a string
+    params = {"maxit": 7000, "n_matvec": np.int64(5), "tol": 1e-6,
+              "true_res": np.float64(1.2345678901234567e-07),
+              "flag": np.bool_(True), "side": "right"}
+    path = tmp_path / "r.json"
+    write_report([ReportRecord("lpess", "generated-l3", 36, 3, 8.5e-07,
+                               0.000164, params, np.bool_(False))],
+                 "json", path)
+    row = json.loads(path.read_text())[0]
+    got = row["params"]
+    assert got == {"maxit": 7000, "n_matvec": 5, "tol": 1e-6,
+                   "true_res": 1.2345678901234567e-07, "flag": True,
+                   "side": "right"}
+    assert [type(got[k]) for k in params] == [int, int, float, float, bool,
+                                              str]
+    # seconds keep full precision: a sub-millisecond solve is not 0.0
+    assert row["wall_seconds"] == 0.000164
+    assert row["converged"] is False
+    assert type(row["size"]) is int and type(row["it"]) is int
+
+
 def test_write_report_unknown_format(tmp_path):
     with pytest.raises(ValueError):
         write_report(records(), "xml", tmp_path / "r.xml")

@@ -9,16 +9,18 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from saddlekit import spectral
 from saddlekit.dense import ConvergenceFailure, NotPositiveDefinite, Singular
 from saddlekit.precond import build, build_bd, make_config
 from saddlekit.problems import case_operands, case_preset, example1
-from saddlekit.spectral import (BoundReport, InapplicableBound,
+from saddlekit.spectral import (BoundReport, InapplicableBound, analyze,
                                 check_pess_nonreal, check_real_interval,
                                 check_unit_disk, condition_number,
                                 lpess_bound_values, lpess_bounds,
                                 mu_transform, pess_nonreal_bounds,
                                 pess_real_interval, preconditioned_spectrum,
                                 ScalarExtremes, scalar_extremes,
+                                scaled_spectrum,
                                 write_eigenvalue_csv, write_spectral_report)
 from saddlekit.system import assemble, to_dense
 
@@ -51,6 +53,37 @@ def test_spectrum_matches_dense_oracle(small_system):
                                             to_dense(small_system)))
     assert np.allclose(np.sort_complex(spec),
                        np.sort_complex(ref), atol=1e-8)
+
+
+@pytest.mark.parametrize("cfg", [
+    pess_cfg(2.0), make_config("egss", alpha=0.5, beta=1.0, gamma=0.01)],
+    ids=["pess", "egss"])
+def test_analyze_maps_the_scaled_spectrum_forward(small_system, cfg,
+                                                  monkeypatch):
+    """With L1 kept, ``analyze`` returns lambda = mu/(1 + s mu) over the
+    pencil's mu: each lambda is an eigenvalue of P^{-1} A, and the non-real
+    check reads every lambda with its own mu."""
+    seen = {}
+    check = spectral._nonreal_disjunction
+
+    def spy(nonreal, mu, b, s):
+        seen.update(nonreal=nonreal, mu=mu)
+        return check(nonreal, mu, b, s)
+
+    monkeypatch.setattr(spectral, "_nonreal_disjunction", spy)
+    P = build(small_system, cfg)
+    spec, _, reports = analyze(small_system, P)
+    ref = preconditioned_spectrum(small_system, P)
+    assert spec.shape == ref.shape
+    nearest = np.min(np.abs(spec[:, None] - ref[None, :]), axis=1)
+    assert np.all(nearest <= 1e-10 * np.abs(spec))
+    nonreal = np.abs(spec.imag) > 1e-8
+    assert nonreal.any()
+    assert np.array_equal(seen["nonreal"], spec[nonreal])
+    np.testing.assert_allclose(seen["mu"],
+                               scaled_spectrum(small_system, cfg)[nonreal],
+                               rtol=1e-12)
+    assert all(r.holds for r in reports)
 
 
 def test_unpreconditioned_spectrum(small_system):
