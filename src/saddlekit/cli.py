@@ -168,7 +168,8 @@ def _solve_with(kind, P, meta, sys_, problem_id, args):
     """Solve with the built preconditioner ``P`` (None for the identity) for
     the right-hand side whose solution is all ones; return the report and
     its record, which carries the monitored and the true residual, the
-    apply counts and the seconds of each solver phase (``<phase>_s``)."""
+    apply counts, the seconds of each solver phase (``<phase>_s``) and the
+    preconditioner's build seconds and factor entries (0 without one)."""
     rep = gmres(sys_, rhs_for_ones(sys_),
                 precond=None if P is None else P.apply, tol=args.tol,
                 maxit=args.maxit, side=args.side)
@@ -178,6 +179,8 @@ def _solve_with(kind, P, meta, sys_, problem_id, args):
         params={**meta, "tol": args.tol, "maxit": args.maxit,
                 "side": rep.side, "true_res": rep.true_final_res,
                 "n_matvec": rep.n_matvec, "n_precond": rep.n_precond,
+                "build_seconds": 0.0 if P is None else P.build_seconds,
+                "factor_nnz": 0 if P is None else P.factor_nnz,
                 **{f"{k}_s": t for k, t in rep.phase_seconds.items()}},
         converged=rep.converged)
     return rep, record

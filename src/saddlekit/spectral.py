@@ -29,8 +29,9 @@ import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from .dense import ConvergenceFailure, Singular, norm2, require_spd
-from .precond import GssConfig, operand_sparse, schur, sigma_matrix
-from .system import SaddlePointSystem, to_dense
+from .precond import (GssConfig, operand_sparse, schur, sigma_matrix,
+                      solve_columns)
+from .system import SaddlePointSystem, require_densifiable
 
 THETA_TILDE_CONVENTION = "lambda3_inv_C_lambda2_inv_Ct"
 
@@ -68,12 +69,14 @@ class BoundReport:
 def preconditioned_spectrum(sys: SaddlePointSystem, precond=None) -> np.ndarray:
     """Unordered complex eigenvalues of P^{-1} A (or of A without ``precond``,
     a callable solving P W = R for a multi-column R), densified column by
-    column; a LAPACK failure becomes ``ConvergenceFailure``."""
-    M = to_dense(sys)
-    if precond is not None:
-        M = precond(M)
+    column: P^{-1} A is built by ``solve_columns`` from the sparse A, so A
+    is never dense beside it, and eig overwrites that one N x N array; a
+    LAPACK failure becomes ``ConvergenceFailure``."""
+    require_densifiable(sys)
+    M = (sys.matrix.toarray(order="F") if precond is None
+         else solve_columns(precond, sys.matrix))
     try:
-        return sla.eigvals(M)
+        return sla.eigvals(M, overwrite_a=True)
     except sla.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise ConvergenceFailure(str(exc)) from exc
 
@@ -280,7 +283,9 @@ def analyze(sys: SaddlePointSystem, P=None):
     is kept, or the dropped-shift bounds; each found as a module global.
     With L1 kept (P = Sigma + s A) the spectrum is mu/(1 + s mu) over mu in
     ``scaled_spectrum``, and part (2) reads that mu, which ``mu_transform``
-    would blur by 1/|1 - s lambda|^2 near 1/s."""
+    would blur by 1/|1 - s lambda|^2 near 1/s.  A system above the
+    densification guard is refused before any work."""
+    require_densifiable(sys)
     cfg = getattr(P, "config", None)
     if cfg is None:
         return preconditioned_spectrum(sys, P), None, ()

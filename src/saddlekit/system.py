@@ -129,9 +129,15 @@ def rhs_for_ones(sys: SaddlePointSystem) -> BlockVector:
     return sys.split(sys.matrix @ np.ones(sys.size))
 
 
-def to_dense(sys: SaddlePointSystem):
+def require_densifiable(sys: SaddlePointSystem):
+    """Raise ValueError when an N x N dense array of the system would exceed
+    ``DENSIFY_LIMIT``."""
     if sys.size > DENSIFY_LIMIT:
         raise ValueError(f"system size {sys.size} exceeds densification guard {DENSIFY_LIMIT}")
+
+
+def to_dense(sys: SaddlePointSystem):
+    require_densifiable(sys)
     return sys.matrix.toarray()
 
 

@@ -104,6 +104,9 @@ def test_solve_json_report(tmp_path):
     assert sum(phases) <= payload[0]["wall_seconds"] * (1 + 1e-12)
     assert isinstance(params["maxit"], int)
     assert isinstance(params["n_matvec"], int)
+    assert isinstance(params["build_seconds"], float)
+    assert params["build_seconds"] > 0.0
+    assert isinstance(params["factor_nnz"], int) and params["factor_nnz"] > 0
 
 
 def test_solve_nonconvergence_exit_code():

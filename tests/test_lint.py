@@ -1,14 +1,21 @@
-"""Static checks on the package source: every imported name is used."""
+"""Static checks on the package source: every imported name is used, and
+every module-level definition is referenced somewhere."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import saddlekit
 
-MODULES = sorted(p for p in Path(saddlekit.__file__).parent.glob("*.py")
+PACKAGE = Path(saddlekit.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py")
                  if p.name != "__init__.py")  # __init__ only re-exports
+ROOT = Path(__file__).resolve().parents[1]
+# where a definition of the package may be referenced
+READERS = sorted([*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py"),
+                  *(ROOT / "perfbench").glob("*.py")])
 
 
 def unused_imports(source):
@@ -35,3 +42,60 @@ def test_no_unused_imports(path):
 def test_unused_import_detected():
     src = "import os\nimport numpy as np\nfrom math import pi, tau\nnp.sqrt(pi)\n"
     assert unused_imports(src) == [(1, "os"), (3, "tau")]
+
+
+def references(tree):
+    """Count of each name a tree reads: a loaded name, an attribute, an
+    imported name, or a string that is exactly the name (``getattr``,
+    ``monkeypatch.setattr``)."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            names[node.name.split(".")[-1]] += 1
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            names[node.value] += 1
+    return names
+
+
+def dead_definitions(modules, readers):
+    """(module, name) of each module-level function, class or assigned name
+    in ``modules`` ({name: source}) that no source in ``readers`` (a list
+    that includes the modules) references outside its own definition."""
+    seen = Counter()
+    for source in readers:
+        seen.update(references(ast.parse(source)))
+    dead = []
+    for module, source in modules.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            own = references(node)
+            dead += [(module, name) for name in names
+                     if not name.startswith("__")
+                     and seen[name] - own[name] == 0]
+    return sorted(dead)
+
+
+def test_no_dead_definitions():
+    modules = {p.name: p.read_text() for p in MODULES}
+    assert dead_definitions(modules, [p.read_text() for p in READERS]) == []
+
+
+def test_dead_definition_detected():
+    mod = ("LIMIT = 5\nUNUSED = 6\n\n\ndef used():\n    return LIMIT\n\n\n"
+           "def recursive(k):\n    return recursive(k - 1)\n\n\n"
+           "class Gone:\n    pass\n")
+    reader = "from m import used\nused()\n"
+    assert dead_definitions({"m.py": mod}, [mod, reader]) == [
+        ("m.py", "Gone"), ("m.py", "UNUSED"), ("m.py", "recursive")]

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from saddlekit.dense import NotPositiveDefinite, Singular
+from saddlekit.dense import NotPositiveDefinite, Singular, require_spd
 from saddlekit.gmres import gmres, true_residual
 from saddlekit.precond import (KINDS, GssConfig, build, build_bd,
-                               make_config, splitting_residual)
+                               make_config, schur, splitting_residual)
 from saddlekit.problems import case_operands, case_preset, example1
 from saddlekit.system import rhs_for_ones
 
@@ -251,6 +251,20 @@ def test_bd_oracles(sysv):
     assert np.array_equal(P.apply_transpose(x), P.apply(x))
     assert np.array_equal(P.rmatvec(x), P.matvec(x))
     assert np.array_equal(P(x), P.apply(x))
+
+
+def test_schur_is_bit_identical_to_one_multicolumn_solve():
+    """m = 144 columns of B^T: two blocks of 64 and a ragged one of 16."""
+    sysv = example1(12)
+    lu = require_spd(sysv.A, "A")
+    S = sysv.B @ lu.solve(sysv.B.T.toarray())
+    assert np.array_equal(schur(sysv.B, lu), 0.5 * (S + S.T))
+
+
+def test_build_seconds_recorded(small_system):
+    for P in (build(small_system, all_kind_configs(small_system)["pess"]),
+              build_bd(small_system)):
+        assert isinstance(P.build_seconds, float) and P.build_seconds > 0.0
 
 
 def test_factor_nnz_counts(small_system):
