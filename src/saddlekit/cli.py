@@ -2,9 +2,9 @@
 report writers.
 
 Exit codes: 0 success/converged, 1 usage or configuration error (including
-an input that is not SPD, a singular preconditioner or a failed eigensolve),
-2 non-convergence (for ``compare``, ``sweep-s`` and ``sensitivity``, of
-any row; an error row counts as not converged).
+an input that is not SPD, a singular preconditioner, a singular coefficient
+matrix or a failed eigensolve), 2 non-convergence (for ``compare``,
+``sweep-s`` and ``sensitivity``, of any row, error rows included).
 """
 
 from __future__ import annotations

@@ -112,9 +112,7 @@ def load_external(path_a, path_b, path_c, shift_a: float = 0.0) -> SaddlePointSy
     """Assemble a system from three Matrix Market files; ``shift_a`` adds a
     diagonal shift (typically 0.001) to enforce positive definiteness of the
     leading block."""
-    A = mmio.read_matrix_market(path_a)
-    B = mmio.read_matrix_market(path_b)
-    C = mmio.read_matrix_market(path_c)
+    A, B, C = map(mmio.read_matrix_market, (path_a, path_b, path_c))
     if shift_a:
         A = A + shift_a * sp.identity(A.shape[0], format="csr")
     return assemble(A, B, C)

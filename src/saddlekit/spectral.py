@@ -68,10 +68,9 @@ class BoundReport:
 
 def preconditioned_spectrum(sys: SaddlePointSystem, precond=None) -> np.ndarray:
     """Unordered complex eigenvalues of P^{-1} A (or of A without ``precond``,
-    a callable solving P W = R for a multi-column R), densified column by
-    column: P^{-1} A is built by ``solve_columns`` from the sparse A, so A
-    is never dense beside it, and eig overwrites that one N x N array; a
-    LAPACK failure becomes ``ConvergenceFailure``."""
+    a callable solving P W = R for a multi-column R).  ``solve_columns``
+    builds P^{-1} A from the sparse A and eig overwrites that one N x N
+    array; a LAPACK failure becomes ``ConvergenceFailure``."""
     require_densifiable(sys)
     M = (sys.matrix.toarray(order="F") if precond is None
          else solve_columns(precond, sys.matrix))
@@ -81,17 +80,31 @@ def preconditioned_spectrum(sys: SaddlePointSystem, precond=None) -> np.ndarray:
         raise ConvergenceFailure(str(exc)) from exc
 
 
-def scaled_spectrum(sys: SaddlePointSystem, cfg: GssConfig) -> np.ndarray:
-    """eig(Sigma^{-1/2} A Sigma^{-1/2}), computed as eig(Sigma^{-1} A), a
-    similar matrix, with Sigma factored by ``require_spd``."""
-    return preconditioned_spectrum(
-        sys, require_spd(sigma_matrix(sys, cfg), "Sigma").solve)
+def _coefficient_lu(sys: SaddlePointSystem):
+    """Sparse LU of the coefficient matrix; ``Singular`` if it is singular."""
+    try:
+        return spla.splu(sys.matrix.tocsc())
+    except RuntimeError as exc:
+        raise Singular(f"coefficient matrix is singular: {exc}") from exc
+
+
+def shift_spectrum(sys: SaddlePointSystem, cfg: GssConfig) -> np.ndarray:
+    """nu = eig(A^{-1} Sigma) from ``solve_columns`` around A's LU, so that
+    eig(P^{-1} A) = 1/(s + nu) and eig(Sigma^{-1} A) = 1/nu.  A dropped L1
+    zeroes n columns, so n zeros nu are left out and eig runs on the
+    (m+p) block; a LAPACK failure becomes ``ConvergenceFailure``."""
+    require_densifiable(sys)
+    k, lu = (0 if cfg.is_pess else sys.n), _coefficient_lu(sys)
+    M = solve_columns(lambda R: lu.solve(R)[k:], sigma_matrix(sys, cfg)[:, k:])
+    try:
+        return sla.eigvals(M, overwrite_a=True)
+    except sla.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
+        raise ConvergenceFailure(str(exc)) from exc
 
 
 def _pencil_extremes(S, T):
     """Smallest and largest eigenvalue of T^{-1} S for a dense symmetric S
-    and a sparse SPD T that the caller has already passed through
-    ``require_spd``."""
+    and a sparse SPD T already passed through ``require_spd``."""
     w = sla.eigh(S, T.toarray(), eigvals_only=True)
     return float(w[0]), float(w[-1])
 
@@ -281,25 +294,23 @@ def analyze(sys: SaddlePointSystem, P=None):
     checks follow P's config: none without one (P None or bd); else the
     unit disk, then the real interval and the non-real disjunction if L1
     is kept, or the dropped-shift bounds; each found as a module global.
-    With L1 kept (P = Sigma + s A) the spectrum is mu/(1 + s mu) over mu in
-    ``scaled_spectrum``, and part (2) reads that mu, which ``mu_transform``
-    would blur by 1/|1 - s lambda|^2 near 1/s.  A system above the
-    densification guard is refused before any work."""
-    require_densifiable(sys)
+    With a config the spectrum is 1/(s + nu) over ``shift_spectrum``,
+    after n entries of exactly 1/s if L1 is dropped, and part (2) reads
+    mu = 1/nu, which ``mu_transform`` would blur near 1/s.  The spectrum
+    comes first: above the densification guard no work is done."""
     cfg = getattr(P, "config", None)
     if cfg is None:
         return preconditioned_spectrum(sys, P), None, ()
-    s, ext = cfg.s, scalar_extremes(sys, cfg)
+    s, nu = cfg.s, shift_spectrum(sys, cfg)
+    spec = np.r_[np.full(sys.size - nu.size, 1.0 / s), 1.0 / (s + nu)]
+    ext = scalar_extremes(sys, cfg)
     if not cfg.is_pess:
-        spec = preconditioned_spectrum(sys, P)
         return spec, ext, (check_unit_disk(spec, s),
                            lpess_bounds(spec, ext, s, sys.n))
-    mu = scaled_spectrum(sys, cfg)
-    spec = mu / (1.0 + s * mu)
     nonreal = ~_is_real(spec)
     return spec, ext, (check_unit_disk(spec, s),
                        check_real_interval(spec, ext, s),
-                       _nonreal_disjunction(spec[nonreal], mu[nonreal],
+                       _nonreal_disjunction(spec[nonreal], 1.0 / nu[nonreal],
                                             pess_nonreal_bounds(ext, s), s))
 
 
@@ -308,11 +319,7 @@ def condition_number(sys: SaddlePointSystem, precond=None) -> float:
     M = P^{-1} A, or of A itself without ``precond``.  Both singular values
     come from ARPACK on sparse operators around one sparse LU of A, so
     nothing is densified and no size limit applies."""
-    A, P = sys.matrix, precond
-    try:
-        lu = spla.splu(A.tocsc())
-    except RuntimeError as exc:
-        raise Singular(f"coefficient matrix is singular: {exc}") from exc
+    A, P, lu = sys.matrix, precond, _coefficient_lu(sys)
 
     def op(matvec, rmatvec):
         return spla.LinearOperator(A.shape, matvec=matvec, rmatvec=rmatvec,

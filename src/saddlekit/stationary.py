@@ -24,7 +24,7 @@ import numpy as np
 
 from .dense import ConvergenceFailure, require_spd
 from .precond import GssConfig, build, sigma_matrix
-from .spectral import scaled_spectrum
+from .spectral import shift_spectrum
 from .system import SaddlePointSystem, operator_apply
 
 DIVERGENCE_THRESHOLD = 1e12
@@ -95,7 +95,8 @@ def convergence_predicate(sys: SaddlePointSystem, cfg: GssConfig,
     if not cfg.is_pess:
         raise ValueError("predicate needs an SPD (1,1) shift")
     if mu is None:
-        mu = scaled_spectrum(sys, cfg)
+        require_spd(sigma_matrix(sys, cfg), "Sigma")
+        mu = 1.0 / shift_spectrum(sys, cfg)
     mu = np.asarray(mu, dtype=np.complex128)
     lhs = (2.0 * cfg.s - 1.0) * np.abs(mu) ** 2 + 2.0 * mu.real
     k = int(np.argmin(lhs))

@@ -166,14 +166,8 @@ def validate(sys: SaddlePointSystem) -> ValidationReport:
         spd_ok = False
         msgs.append(str(exc))
 
-    def full_row_rank(M):
-        # numerical rank from singular values, tolerance max(shape)*eps*sigma_max
-        return bool(np.linalg.matrix_rank(M.toarray()) == M.shape[0])
-
-    b_ok = full_row_rank(sys.B)
-    if not b_ok:
-        msgs.append("B is rank deficient")
-    c_ok = full_row_rank(sys.C)
-    if not c_ok:
-        msgs.append("C is rank deficient")
-    return ValidationReport(spd_ok, b_ok, c_ok, tuple(msgs))
+    # numerical rank from singular values, tolerance max(shape)*eps*sigma_max
+    ranks = {name: bool(np.linalg.matrix_rank(M.toarray()) == M.shape[0])
+             for name, M in (("B", sys.B), ("C", sys.C))}
+    msgs += [f"{k} is rank deficient" for k, ok in ranks.items() if not ok]
+    return ValidationReport(spd_ok, ranks["B"], ranks["C"], tuple(msgs))

@@ -19,7 +19,8 @@ from saddlekit.params import estimate_params, phi, phi_minimizer
 from saddlekit.precond import (KINDS, build, build_bd, make_config,
                                splitting_residual)
 from saddlekit.problems import NoiseSpec, case_preset, example1, perturb
-from saddlekit.spectral import analyze, condition_number
+from saddlekit.spectral import (analyze, condition_number,
+                                preconditioned_spectrum)
 from saddlekit.stationary import Diverged, convergence_predicate, pess_iterate
 from saddlekit.system import rhs_for_ones
 
@@ -152,17 +153,22 @@ def test_criterion2_estimated_parameters(l16, l32):
 
 
 @pytest.fixture(scope="module")
-def spectral_case(l16):
+def case_ii(l16):
+    """The pess and lpess configs of Case II at s=13, keyed by kind."""
+    cfg = case_preset("II", l16, s=13.0)
+    return {"pess": cfg, "lpess": make_config(
+        "lpess", lambda2=cfg.lambda2, lambda3=cfg.lambda3, s=cfg.s)}
+
+
+@pytest.fixture(scope="module")
+def spectral_case(l16, case_ii):
     """The bound reports ``analyze`` gives pess and lpess at Case II, s=13,
     keyed "<kind> <theorem>", and s."""
-    s = 13.0
-    cfg = case_preset("II", l16, s=s)
-    lcfg = make_config("lpess", lambda2=cfg.lambda2, lambda3=cfg.lambda3, s=s)
     reports = {}
-    for label, c in (("pess", cfg), ("lpess", lcfg)):
+    for label, c in case_ii.items():
         _, _, reps = analyze(l16, build(l16, c))
         reports.update((f"{label} {r.theorem}", r) for r in reps)
-    return reports, s
+    return reports, 13.0
 
 
 def test_criterion3_pess_real_interval(spectral_case):
@@ -196,7 +202,7 @@ def test_criterion3_pess_nonreal_table(spectral_case):
             failures)
 
 
-def test_criterion3_lpess_table(spectral_case):
+def test_criterion3_lpess_table(spectral_case, case_ii, l16):
     reports, s = spectral_case
     failures = []
     n = 512
@@ -214,6 +220,13 @@ def test_criterion3_lpess_table(spectral_case):
     if rep.metadata["multiplicity"] < n:
         failures.append(f"cluster multiplicity {rep.metadata['multiplicity']} "
                         f"< {n} at 1/{s:g}")
+    # analyze's cluster is exact by construction; count it independently
+    # on eig(P^{-1} A)
+    lam = preconditioned_spectrum(l16, build(l16, case_ii["lpess"]))
+    count = int(np.count_nonzero(np.abs(lam - 1.0 / s) <= 1e-8))
+    if count < n:
+        failures.append(f"eig(P^-1 A) has {count} eigenvalues within 1e-8 "
+                        f"of 1/{s:g}, < {n}")
     if rep.violations:
         failures.append(f"{len(rep.violations)} eigenvalues escape the "
                         f"dropped-shift localization")

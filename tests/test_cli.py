@@ -57,11 +57,15 @@ def test_python_dash_m_runs_the_cli():
     assert "it=" in proc.stdout
 
 
-def test_spectrum_verdict_does_not_depend_on_blas_threads():
-    # pess Case I, s=12, has non-real eigenvalues within 1e-7 of 1/s; the
-    # verdict must not move with the BLAS thread count
+@pytest.mark.parametrize("kind,theorem", [("pess", "nonreal-disjunction"),
+                                          ("lpess", "lpess")],
+                         ids=["pess", "lpess"])
+def test_spectrum_verdict_does_not_depend_on_blas_threads(kind, theorem):
+    # pess Case I, s=12, has non-real eigenvalues within 1e-7 of 1/s, and
+    # lpess its cluster at 1/s; no verdict may move with the BLAS thread
+    # count
     cmd = [sys.executable, "-m", "saddlekit", "spectrum", "--gen-l", "12",
-           "--precond", "pess", "--case", "I"]
+           "--precond", kind, "--case", "I"]
     procs = [subprocess.Popen(cmd, stdout=subprocess.PIPE,
                               stderr=subprocess.PIPE, text=True,
                               env=cli_env(OPENBLAS_NUM_THREADS=n,
@@ -71,7 +75,7 @@ def test_spectrum_verdict_does_not_depend_on_blas_threads():
     for proc, (_, err) in zip(procs, outs):
         assert proc.returncode == EXIT_OK, err
     assert outs[0][0] == outs[1][0]
-    assert "nonreal-disjunction: holds (0 violations)\n" in outs[0][0]
+    assert f"{theorem}: holds (0 violations)\n" in outs[0][0]
 
 
 def test_solve_pess_with_report(tmp_path, capsys):
@@ -412,6 +416,24 @@ def test_rank_deficient_b_names_the_schur_complement(tmp_path, capsys):
     assert rc == EXIT_USAGE
     err = capsys.readouterr().err
     assert err == "error: S = B A^-1 B^T is not positive definite\n"
+
+
+@pytest.mark.parametrize("kind", ["pess", "lpess"])
+def test_singular_coefficient_matrix_is_a_usage_error(tmp_path, capsys,
+                                                      kind):
+    # row 1 of C equal to row 0 makes the coefficient matrix singular while
+    # P = Sigma + s A stays nonsingular; no verdict is printed
+    sysv = example1(6)
+    C = sysv.C.tolil()
+    C[1] = C[0]
+    blocks = {"A": sysv.A, "B": sysv.B, "C": C}
+    rc = main(["spectrum", "--load", *write_blocks(tmp_path, blocks),
+               "--precond", kind])
+    assert rc == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: coefficient matrix is singular: ")
+    assert err.count("\n") == 1
 
 
 def test_non_finite_load_names_the_block(tmp_path, capsys):

@@ -21,7 +21,7 @@ from saddlekit.spectral import (BoundReport, InapplicableBound, analyze,
                                 mu_transform, pess_nonreal_bounds,
                                 pess_real_interval, preconditioned_spectrum,
                                 ScalarExtremes, scalar_extremes,
-                                scaled_spectrum,
+                                shift_spectrum,
                                 write_eigenvalue_csv, write_spectral_report)
 from saddlekit.system import assemble, to_dense
 
@@ -57,13 +57,16 @@ def test_spectrum_matches_dense_oracle(small_system):
 
 
 @pytest.mark.parametrize("cfg", [
-    pess_cfg(2.0), make_config("egss", alpha=0.5, beta=1.0, gamma=0.01)],
-    ids=["pess", "egss"])
-def test_analyze_maps_the_scaled_spectrum_forward(small_system, cfg,
-                                                  monkeypatch):
-    """With L1 kept, ``analyze`` returns lambda = mu/(1 + s mu) over the
-    pencil's mu: each lambda is an eigenvalue of P^{-1} A, and the non-real
-    check reads every lambda with its own mu."""
+    pess_cfg(2.0), make_config("egss", alpha=0.5, beta=1.0, gamma=0.01),
+    lpess_cfg(2.0), make_config("rss", alpha=0.5),
+    make_config("rpgss", beta=1.0, gamma=0.01)],
+    ids=["pess", "egss", "lpess", "rss", "rpgss"])
+def test_analyze_maps_the_shift_spectrum_forward(small_system, cfg,
+                                                 monkeypatch):
+    """``analyze`` returns lambda = 1/(s + nu) over nu = eig(A^{-1} Sigma),
+    behind n entries of exactly 1/s when L1 is dropped: the same set as
+    eig(P^{-1} A) either way round, and with L1 kept the non-real check
+    reads every lambda with its own mu = 1/nu."""
     seen = {}
     check = spectral._nonreal_disjunction
 
@@ -76,14 +79,18 @@ def test_analyze_maps_the_scaled_spectrum_forward(small_system, cfg,
     spec, _, reports = analyze(small_system, P)
     ref = preconditioned_spectrum(small_system, P)
     assert spec.shape == ref.shape
-    nearest = np.min(np.abs(spec[:, None] - ref[None, :]), axis=1)
-    assert np.all(nearest <= 1e-10 * np.abs(spec))
-    nonreal = np.abs(spec.imag) > 1e-8
-    assert nonreal.any()
-    assert np.array_equal(seen["nonreal"], spec[nonreal])
-    np.testing.assert_allclose(seen["mu"],
-                               scaled_spectrum(small_system, cfg)[nonreal],
-                               rtol=1e-12)
+    d = np.abs(spec[:, None] - ref[None, :])
+    assert np.all(d.min(axis=1) <= 1e-10 * np.abs(spec))
+    assert np.all(d.min(axis=0) <= 1e-10 * np.abs(ref))
+    nu = shift_spectrum(small_system, cfg)
+    if not cfg.is_pess:
+        assert np.count_nonzero(spec == 1.0 / cfg.s) == small_system.n
+        assert nu.size == small_system.m + small_system.p and not seen
+    else:
+        nonreal = np.abs(spec.imag) > 1e-8
+        assert nonreal.any()
+        assert np.array_equal(seen["nonreal"], spec[nonreal])
+        np.testing.assert_allclose(seen["mu"], 1.0 / nu[nonreal], rtol=1e-12)
     assert all(r.holds for r in reports)
 
 

@@ -6,9 +6,9 @@ import pytest
 
 from saddlekit.precond import build, make_config, sigma_matrix
 from saddlekit.problems import case_preset, example1
+from saddlekit.spectral import shift_spectrum
 from saddlekit.stationary import (Diverged, convergence_predicate,
-                                  pess_iterate, scaled_spectrum,
-                                  sufficient_s_lower_bound)
+                                  pess_iterate, sufficient_s_lower_bound)
 from saddlekit.system import rhs_for_ones, to_dense
 
 from conftest import iteration_matrix_radius, random_system
@@ -78,7 +78,7 @@ def test_predicate_reports_witness(small_system):
 
 def test_predicate_accepts_precomputed_spectrum(small_system):
     cfg = pess_cfg(2.0)
-    mu = scaled_spectrum(small_system, cfg)
+    mu = 1 / shift_spectrum(small_system, cfg)
     a = convergence_predicate(small_system, cfg)
     b = convergence_predicate(small_system, cfg, mu=mu)
     assert a.holds == b.holds
@@ -160,7 +160,7 @@ def test_predicate_holds_exactly_above_s_critical(seed):
     # s_critical is the predicate's threshold; the scaled spectrum does not
     # depend on s, so one spectrum serves every s
     sysv = random_system(np.random.default_rng(400 + seed), n=10, m=6, p=4)
-    mu = scaled_spectrum(sysv, pess_cfg(1.0, lam3=1e-4))
+    mu = 1 / shift_spectrum(sysv, pess_cfg(1.0, lam3=1e-4))
     s_crit = convergence_predicate(sysv, pess_cfg(1.0, lam3=1e-4),
                                    mu=mu).s_critical
     assert s_crit <= 0.5
