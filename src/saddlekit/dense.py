@@ -3,8 +3,8 @@
 ``require_spd`` is the one symmetry and SPD test of an operand: a sparse
 L D L^T sign test that returns the factor.  ``cholesky`` is the dense
 factor of the two dense Schur blocks of the exact block-diagonal baseline
-(bd), S = B A^{-1} B^T and X = C S^{-1} C^T; ``norm2`` turns an ARPACK
-failure into ``ConvergenceFailure``.
+(bd), S = B A^{-1} B^T and X = C S^{-1} C^T, checked tile by tile and
+made in place; ``norm2`` turns an ARPACK failure into ``ConvergenceFailure``.
 Everything else calls numpy/scipy directly.
 """
 
@@ -56,11 +56,33 @@ def require_spd(M, what):
     return lu
 
 
+TILE = 64  # a tile pair of the dense symmetry checks is two 32 KB blocks
+
+
+def tile_pairs(order):
+    """(I, J) slices of the TILE x TILE tiles on and below the diagonal."""
+    cuts = [slice(i, i + TILE) for i in range(0, order, TILE)]
+    return [(I, J) for k, I in enumerate(cuts) for J in cuts[:k + 1]]
+
+
+def _finite_max_abs(M, what):
+    """Largest |entry| of the dense M; ValueError naming ``what`` if one is
+    not finite (min and max propagate NaN and inf, with no temporary)."""
+    hi, lo = M.max(initial=0.0), M.min(initial=0.0)
+    if not (np.isfinite(hi) and np.isfinite(lo)):
+        raise ValueError(f"{what} has non-finite entries")
+    return max(hi, -lo)
+
+
 @dataclass(frozen=True)
 class CholeskyFactor:
-    """Lower Cholesky factor L with S = L L^T."""
+    """Lower Cholesky factor L with S = L L^T; its entries are checked for
+    finiteness here, once, so that solves need not scan it again."""
 
     lower: np.ndarray
+
+    def __post_init__(self):
+        _finite_max_abs(self.lower, "Cholesky factor")
 
     @property
     def order(self):
@@ -68,28 +90,33 @@ class CholeskyFactor:
 
 
 def cholesky(S, what) -> CholeskyFactor:
-    """Dense Cholesky factor of S after checking that it is square and
-    symmetric (ValueError) and positive definite (NotPositiveDefinite),
-    each error naming ``what``."""
-    S = np.asarray(S, dtype=np.float64)
+    """Dense Cholesky factor of S after checking that it is square, finite
+    and symmetric (ValueError) and positive definite (NotPositiveDefinite),
+    each error naming ``what``.  potrf factors in place: a Fortran-ordered
+    float64 S (as ``precond.schur`` returns) is overwritten, any other S is
+    copied first and left as it was."""
+    S = np.asarray(S, dtype=np.float64, order="F")
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError(f"{what} must be square")
-    scale = max(np.abs(S).max(initial=0.0), 1e-300)
-    if np.abs(S - S.T).max(initial=0.0) > 1e-12 * scale:
-        raise ValueError(f"{what} is not symmetric within 1e-12 relative")
-    try:
-        L = np.linalg.cholesky(S)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"{what} is not positive definite") from exc
+    scale = max(_finite_max_abs(S, what), 1e-300)
+    for I, J in tile_pairs(S.shape[0]):
+        if np.abs(S[I, J] - S[J, I].T).max() > 1e-12 * scale:
+            raise ValueError(f"{what} is not symmetric within 1e-12 relative")
+    L, info = sla.lapack.dpotrf(S, lower=1, clean=1, overwrite_a=1)
+    if info != 0:
+        raise NotPositiveDefinite(f"{what} is not positive definite")
     return CholeskyFactor(lower=L)
 
 
 def cholesky_solve(F: CholeskyFactor, rhs):
+    """S^{-1} rhs for a vector or multi-column rhs; ValueError on a
+    non-finite rhs (the factor was checked when it was made)."""
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.shape[0] != F.order:
         raise ValueError("right-hand side length does not match factor order")
-    y = sla.solve_triangular(F.lower, rhs, lower=True)
-    return sla.solve_triangular(F.lower.T, y, lower=False)
+    _finite_max_abs(rhs, "right-hand side")
+    y = sla.solve_triangular(F.lower, rhs, lower=True, check_finite=False)
+    return sla.solve_triangular(F.lower.T, y, lower=False, check_finite=False)
 
 
 def norm2(op, symmetric=False) -> float:

@@ -23,11 +23,10 @@ from time import perf_counter
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import solve_triangular
 from scipy.sparse.linalg import splu
 
 from .dense import (CholeskyFactor, Singular, cholesky, cholesky_solve,
-                    require_spd)
+                    require_spd, tile_pairs)
 from .system import SaddlePointSystem
 
 
@@ -218,21 +217,25 @@ def solve_columns(solve, X) -> np.ndarray:
     return out
 
 
-def schur(X, lu) -> np.ndarray:
-    """X T^{-1} X^T for a sparse X and T's SuperLU factor ``lu``, dense and
-    exactly symmetric: ``solve_columns`` forms X T^{-1} R for each block R
-    of the columns of X^T, so T^{-1} X^T is never held whole, and the
-    result is symmetrized in place."""
-    S = solve_columns(lambda R: X @ lu.solve(R), X.T)
-    S += S.T
-    S *= 0.5
+def schur(X, solve) -> np.ndarray:
+    """X T^{-1} X^T for a sparse X and ``solve``(R) = T^{-1} R, dense,
+    Fortran-ordered and exactly symmetric: ``solve_columns`` forms
+    X T^{-1} R for each block R of the columns of X^T, so T^{-1} X^T is
+    never held whole, and mirrored tiles are averaged in place."""
+    S = solve_columns(lambda R: X @ solve(R), X.T)
+    for I, J in tile_pairs(S.shape[0]):
+        lower, upper = S[I, J], S[J, I]
+        lower += upper.T
+        lower *= 0.5
+        upper[...] = lower.T
     return S
 
 
 @dataclass(frozen=True)
 class BdPreconditioner:
     """diag(A, S, X) with S = B A^{-1} B^T and X = C S^{-1} C^T: A through
-    its sparse factor, S and X through dense Cholesky factors."""
+    its sparse factor, S and X through dense Cholesky factors checked once,
+    when made, so an apply checks only r."""
 
     A: sp.csr_matrix
     a_lu: object  # scipy.sparse.linalg.SuperLU of A, from require_spd
@@ -273,14 +276,15 @@ class BdPreconditioner:
 
 def build_bd(sys: SaddlePointSystem) -> BdPreconditioner:
     """Exact block diagonal baseline diag(A, S, X), S = B A^{-1} B^T and
-    X = C S^{-1} C^T.  A's sparse factor checks it is SPD and gives
-    S = ``schur(B, A's factor)``; X = W^T W with W = L_S^{-1} C^T, so X is
-    exactly symmetric.  Only S and X are dense."""
+    X = C S^{-1} C^T.  A's sparse factor checks it is SPD; S = ``schur(B,
+    A's solve)`` and X = ``schur(C, S's solve)`` are factored in place, so
+    only their two arrays and 64-column blocks are held, never dense A, B
+    or C."""
     t0 = perf_counter()
     a_lu = require_spd(sys.A, "A")
-    s_factor = cholesky(schur(sys.B, a_lu), "S = B A^-1 B^T")
-    W = solve_triangular(s_factor.lower, sys.C.T.toarray(), lower=True)
-    css_factor = cholesky(W.T @ W, "X = C S^-1 C^T")
+    s_factor = cholesky(schur(sys.B, a_lu.solve), "S = B A^-1 B^T")
+    css_factor = cholesky(
+        schur(sys.C, lambda R: cholesky_solve(s_factor, R)), "X = C S^-1 C^T")
     return BdPreconditioner(sys.A, a_lu, s_factor, css_factor,
                             perf_counter() - t0)
 

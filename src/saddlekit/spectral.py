@@ -92,9 +92,11 @@ def shift_spectrum(sys: SaddlePointSystem, cfg: GssConfig) -> np.ndarray:
     """nu = eig(A^{-1} Sigma) from ``solve_columns`` around A's LU, so that
     eig(P^{-1} A) = 1/(s + nu) and eig(Sigma^{-1} A) = 1/nu.  A dropped L1
     zeroes n columns, so n zeros nu are left out and eig runs on the
-    (m+p) block; a LAPACK failure becomes ``ConvergenceFailure``."""
-    require_densifiable(sys)
-    k, lu = (0 if cfg.is_pess else sys.n), _coefficient_lu(sys)
+    (m+p) block, the order the guard reads; a LAPACK failure becomes
+    ``ConvergenceFailure``."""
+    k = 0 if cfg.is_pess else sys.n
+    require_densifiable(sys, sys.size - k)
+    lu = _coefficient_lu(sys)
     M = solve_columns(lambda R: lu.solve(R)[k:], sigma_matrix(sys, cfg)[:, k:])
     try:
         return sla.eigvals(M, overwrite_a=True)
@@ -125,13 +127,13 @@ def scalar_extremes(sys: SaddlePointSystem, cfg: GssConfig) -> ScalarExtremes:
         lam1 = operand_sparse(cfg.lambda1, sys.n)
         lam1_lu = require_spd(lam1, "lambda1")
         xi_min, xi_max = _pencil_extremes(sys.A.toarray(), lam1)
-        eta_min, eta_max = _pencil_extremes(schur(sys.B, lam1_lu), lam2)
+        eta_min, eta_max = _pencil_extremes(schur(sys.B, lam1_lu.solve), lam2)
 
-    theta_max = _pencil_extremes(schur(sys.C.T, lam3_lu), lam2)[1]
+    theta_max = _pencil_extremes(schur(sys.C.T, lam3_lu.solve), lam2)[1]
     vartheta_min, vartheta_max = _pencil_extremes(
-        schur(sys.B, require_spd(sys.A, "A")), lam2)
+        schur(sys.B, require_spd(sys.A, "A").solve), lam2)
     theta_tilde_min, theta_tilde_max = _pencil_extremes(
-        schur(sys.C, lam2_lu), lam3)
+        schur(sys.C, lam2_lu.solve), lam3)
 
     return ScalarExtremes(xi_max, xi_min, eta_max, eta_min, theta_max,
                           vartheta_max, vartheta_min,

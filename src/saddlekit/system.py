@@ -129,11 +129,13 @@ def rhs_for_ones(sys: SaddlePointSystem) -> BlockVector:
     return sys.split(sys.matrix @ np.ones(sys.size))
 
 
-def require_densifiable(sys: SaddlePointSystem):
-    """Raise ValueError when an N x N dense array of the system would exceed
-    ``DENSIFY_LIMIT``."""
-    if sys.size > DENSIFY_LIMIT:
-        raise ValueError(f"system size {sys.size} exceeds densification guard {DENSIFY_LIMIT}")
+def require_densifiable(sys: SaddlePointSystem, order=None):
+    """Raise ValueError when a dense order x order array built from the
+    system (N x N by default) would exceed ``DENSIFY_LIMIT``."""
+    order = sys.size if order is None else order
+    if order > DENSIFY_LIMIT:
+        what = "system size" if order == sys.size else "dense block order"
+        raise ValueError(f"{what} {order} exceeds densification guard {DENSIFY_LIMIT}")
 
 
 def to_dense(sys: SaddlePointSystem):

@@ -1,12 +1,12 @@
-"""Dense kernels: the Cholesky SPD test and solves, the sparse SPD check,
-and the ARPACK 2-norm."""
+"""Dense kernels: the Cholesky SPD test and solves with their finiteness
+checks, the sparse SPD check, and the ARPACK 2-norm."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from saddlekit.dense import (NotPositiveDefinite, cholesky, cholesky_solve,
-                             norm2, require_spd)
+from saddlekit.dense import (CholeskyFactor, NotPositiveDefinite, cholesky,
+                             cholesky_solve, norm2, require_spd)
 
 from conftest import random_spd
 
@@ -42,6 +42,44 @@ def test_cholesky_solve_rhs_length():
     F = cholesky(np.eye(3), "S")
     with pytest.raises(ValueError):
         cholesky_solve(F, np.ones(4))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cholesky_rejects_non_finite_entries(bad):
+    # NaN passes LAPACK's pivot test, so it must not read as "not SPD"
+    with pytest.raises(ValueError, match="^S has non-finite entries$"):
+        cholesky(np.array([[bad]]), "S")
+
+
+def test_cholesky_solve_rejects_non_finite_rhs():
+    F = cholesky(np.eye(3), "S")
+    with pytest.raises(ValueError, match="^right-hand side has non-finite"):
+        cholesky_solve(F, np.array([1.0, np.nan, 0.0]))
+
+
+def test_cholesky_factor_rejects_non_finite_entries():
+    with pytest.raises(ValueError, match="^Cholesky factor has non-finite"):
+        CholeskyFactor(np.array([[1.0, 0.0], [np.inf, 1.0]]))
+
+
+def test_cholesky_symmetry_checked_across_tiles(rng):
+    # the only asymmetric pair lies in tiles off the diagonal (TILE = 64)
+    S = random_spd(rng, 130)
+    S[129, 3] += 1e-9 * np.abs(S).max()
+    with pytest.raises(ValueError, match="^S is not symmetric"):
+        cholesky(S, "S")
+
+
+def test_cholesky_factors_fortran_input_in_place(rng):
+    S = random_spd(rng, 70)
+    kept = S.copy()
+    F = cholesky(S, "S")  # C-ordered: copied, left as it was
+    assert np.array_equal(S, kept)
+    SF = np.asfortranarray(S)
+    G = cholesky(SF, "S")  # Fortran-ordered: overwritten by its factor
+    assert G.lower is SF and np.array_equal(G.lower, F.lower)
+    assert np.allclose(F.lower @ F.lower.T, S, rtol=0, atol=1e-12 * S.max())
+    assert not np.triu(F.lower, 1).any()
 
 
 @pytest.mark.parametrize("k", [64, 256])

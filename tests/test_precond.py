@@ -3,6 +3,7 @@ back-substitution solve against an explicit-matrix oracle, and the splitting
 identity P - Q = coefficient matrix."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -258,7 +259,21 @@ def test_schur_is_bit_identical_to_one_multicolumn_solve():
     sysv = example1(12)
     lu = require_spd(sysv.A, "A")
     S = sysv.B @ lu.solve(sysv.B.T.toarray())
-    assert np.array_equal(schur(sysv.B, lu), 0.5 * (S + S.T))
+    assert np.array_equal(schur(sysv.B, lu.solve), 0.5 * (S + S.T))
+
+
+def test_build_bd_memory_peak():
+    """The build holds S's and X's m x m arrays (m = p here) and 64-column
+    blocks, with no transposed or densified copy beside them: the traced
+    peak stays below 3 of their 8 m^2 bytes."""
+    sysv = example1(24)
+    tracemalloc.start()
+    try:
+        build_bd(sysv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * sysv.m ** 2
 
 
 def test_build_seconds_recorded(small_system):

@@ -10,7 +10,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from saddlekit import spectral
+from saddlekit import spectral, system
 from saddlekit.dense import ConvergenceFailure, NotPositiveDefinite, Singular
 from saddlekit.precond import build, build_bd, make_config
 from saddlekit.problems import case_operands, case_preset, example1
@@ -165,6 +165,21 @@ def test_densification_guard_comes_before_any_work(monkeypatch):
         analyze(sysv, P)
     with pytest.raises(ValueError, match=msg):
         preconditioned_spectrum(sysv, not_reached)
+
+
+def test_densification_guard_reads_the_order_of_the_shift_eig(monkeypatch):
+    """A dropped L1 leaves an (m+p) eig: with the guard between m+p = 32 and
+    N = 64, lpess is analyzed and pess is refused with N in the message."""
+    sysv = example1(4)
+    monkeypatch.setattr(system, "DENSIFY_LIMIT", 40)
+    spec, _, reports = analyze(sysv, build(sysv, lpess_cfg(12.0)))
+    assert spec.size == sysv.size and len(reports) == 2
+    msg = "^system size 64 exceeds densification guard 40$"
+    with pytest.raises(ValueError, match=msg):
+        analyze(sysv, build(sysv, pess_cfg(12.0)))
+    monkeypatch.setattr(system, "DENSIFY_LIMIT", 31)
+    with pytest.raises(ValueError, match="^dense block order 32 exceeds"):
+        analyze(sysv, build(sysv, lpess_cfg(12.0)))
 
 
 # -- scalar extremes vs brute force ---------------------------------------
