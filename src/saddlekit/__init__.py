@@ -2,7 +2,7 @@
 block saddle point systems."""
 
 from .dense import (CholeskyFactor, ConvergenceFailure, NotPositiveDefinite,
-                    Singular, cholesky, cholesky_solve)
+                    Singular)
 from .gmres import SolveReport, gmres, true_residual
 from .mmio import (ReportRecord, read_matrix_market, write_matrix_market,
                    write_report)

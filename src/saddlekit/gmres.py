@@ -65,7 +65,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import drot, dtrsv
 
-from .system import BlockVector, SaddlePointSystem, operator_apply
+from .system import (BlockVector, SaddlePointSystem, _check_tol, _flat,
+                     operator_apply)
 
 BASIS_BLOCK = 64
 # The phases of ``SolveReport.phase_seconds``.
@@ -104,17 +105,6 @@ def true_residual(sys: SaddlePointSystem, u, d) -> float:
     return float(np.linalg.norm(operator_apply(sys, u) - d) / nd)
 
 
-def _flat(name, vec, N):
-    """``vec`` as a float64 array of length N with finite entries."""
-    vec = (vec.to_array() if isinstance(vec, BlockVector)
-           else np.asarray(vec, dtype=np.float64))
-    if vec.shape != (N,):
-        raise ValueError(f"{name} length does not match system size")
-    if not np.isfinite(vec).all():
-        raise ValueError(f"{name} has non-finite entries")
-    return vec
-
-
 def gmres(sys: SaddlePointSystem, d, precond=None, tol=1e-6, maxit=7000,
           x0=None, side="right") -> SolveReport:
     """Solve A u = d by full GMRES preconditioned by ``precond``.
@@ -127,8 +117,7 @@ def gmres(sys: SaddlePointSystem, d, precond=None, tol=1e-6, maxit=7000,
     """
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    _check_tol(tol)
     if maxit < 1:
         raise ValueError(f"maxit must be at least 1, got {maxit}")
     t0 = time.perf_counter()

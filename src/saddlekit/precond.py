@@ -21,12 +21,12 @@ from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.linalg import splu
 
-from .dense import (CholeskyFactor, Singular, cholesky, cholesky_solve,
-                    require_spd, tile_pairs)
+from .dense import CholeskyFactor, NotPositiveDefinite, Singular, require_spd
 from .system import SaddlePointSystem
 
 
@@ -175,9 +175,8 @@ class GssPreconditioner:
 
     @property
     def factor_nnz(self):
-        """Entries of the sparse LU factors L and U (computed on access:
-        ``lu.L`` and ``lu.U`` copy)."""
-        return self.lu.L.nnz + self.lu.U.nnz
+        """Entries SuperLU stores for the LU factors (``lu.nnz``)."""
+        return self.lu.nnz
 
 
 def build(sys: SaddlePointSystem, cfg: GssConfig) -> GssPreconditioner:
@@ -218,17 +217,27 @@ def solve_columns(solve, X) -> np.ndarray:
 
 
 def schur(X, solve) -> np.ndarray:
-    """X T^{-1} X^T for a sparse X and ``solve``(R) = T^{-1} R, dense,
-    Fortran-ordered and exactly symmetric: ``solve_columns`` forms
-    X T^{-1} R for each block R of the columns of X^T, so T^{-1} X^T is
-    never held whole, and mirrored tiles are averaged in place."""
-    S = solve_columns(lambda R: X @ solve(R), X.T)
-    for I, J in tile_pairs(S.shape[0]):
-        lower, upper = S[I, J], S[J, I]
-        lower += upper.T
-        lower *= 0.5
-        upper[...] = lower.T
-    return S
+    """X T^{-1} X^T for a sparse X and ``solve``(R) = T^{-1} R, dense and
+    Fortran-ordered: ``solve_columns`` forms X T^{-1} R for each block R of
+    the columns of X^T, so T^{-1} X^T is never held whole.  Symmetric to
+    rounding only: its readers, potrf and ``eigh``, read the lower triangle."""
+    return solve_columns(lambda R: X @ solve(R), X.T)
+
+
+def _cholesky(S, what) -> CholeskyFactor:
+    """S's lower Cholesky factor, in place over a Fortran-ordered S."""
+    try:
+        return CholeskyFactor(sla.cholesky(S, lower=True, overwrite_a=True))
+    except sla.LinAlgError as exc:
+        raise NotPositiveDefinite(f"{what} is not positive definite") from exc
+
+
+def _cholesky_solve(F: CholeskyFactor, rhs):
+    """S^{-1} rhs for one or more columns; ValueError on a non-finite rhs."""
+    if not np.isfinite(rhs).all():
+        raise ValueError("right-hand side has non-finite entries")
+    y = sla.solve_triangular(F.lower, rhs, lower=True, check_finite=False)
+    return sla.solve_triangular(F.lower.T, y, lower=False, check_finite=False)
 
 
 @dataclass(frozen=True)
@@ -246,7 +255,7 @@ class BdPreconditioner:
     def _blockwise(self, r, f_a, f_dense):
         """Stack f_a(A's block of r), f_dense(s_factor, S's block) and
         f_dense(css_factor, X's block)."""
-        cuts = np.cumsum([self.A.shape[0], self.s_factor.order])
+        cuts = np.cumsum([self.A.shape[0], len(self.s_factor.lower)])
         ra, rs, rx = np.split(np.asarray(r, dtype=np.float64), cuts)
         return np.concatenate([f_a(ra), f_dense(self.s_factor, rs),
                                f_dense(self.css_factor, rx)])
@@ -254,7 +263,7 @@ class BdPreconditioner:
     def apply(self, r):
         """Solve P w = r blockwise for a flat array r (optionally
         multi-column)."""
-        return self._blockwise(r, self.a_lu.solve, cholesky_solve)
+        return self._blockwise(r, self.a_lu.solve, _cholesky_solve)
 
     def matvec(self, x):
         """P x: A x1, then L L^T x2 and L L^T x3 from the dense factors."""
@@ -267,24 +276,23 @@ class BdPreconditioner:
 
     @property
     def factor_nnz(self):
-        """Factor entries: A's sparse L and U plus the lower triangles of
-        the S and X factors (computed on access: ``L`` and ``U`` copy)."""
-        return (self.a_lu.L.nnz + self.a_lu.U.nnz
-                + sum(F.order * (F.order + 1) // 2
-                      for F in (self.s_factor, self.css_factor)))
+        """Factor entries: those SuperLU stores for A (``a_lu.nnz``) plus
+        the lower triangles of the S and X factors."""
+        return self.a_lu.nnz + sum(len(F.lower) * (len(F.lower) + 1) // 2
+                                   for F in (self.s_factor, self.css_factor))
 
 
 def build_bd(sys: SaddlePointSystem) -> BdPreconditioner:
     """Exact block diagonal baseline diag(A, S, X), S = B A^{-1} B^T and
     X = C S^{-1} C^T.  A's sparse factor checks it is SPD; S = ``schur(B,
-    A's solve)`` and X = ``schur(C, S's solve)`` are factored in place, so
-    only their two arrays and 64-column blocks are held, never dense A, B
-    or C."""
+    A's solve)`` and X = ``schur(C, S's solve)`` are factored in place by
+    scipy's Cholesky, so only their two arrays and 64-column blocks are
+    held, never dense A, B or C."""
     t0 = perf_counter()
     a_lu = require_spd(sys.A, "A")
-    s_factor = cholesky(schur(sys.B, a_lu.solve), "S = B A^-1 B^T")
-    css_factor = cholesky(
-        schur(sys.C, lambda R: cholesky_solve(s_factor, R)), "X = C S^-1 C^T")
+    s_factor = _cholesky(schur(sys.B, a_lu.solve), "S = B A^-1 B^T")
+    css_factor = _cholesky(
+        schur(sys.C, lambda R: _cholesky_solve(s_factor, R)), "X = C S^-1 C^T")
     return BdPreconditioner(sys.A, a_lu, s_factor, css_factor,
                             perf_counter() - t0)
 

@@ -10,7 +10,7 @@ Scalar extremes feeding the bounds, for shifts L1, L2, L3:
 
     xi       : eig extremes of L1^{-1} A
     eta      : eig extremes of L2^{-1} B L1^{-1} B^T
-    theta_max: max eig of L2^{-1} C^T L3^{-1} C
+    theta_max: max eig of L2^{-1} C^T L3^{-1} C  (= theta~ max)
     vartheta : eig extremes of L2^{-1} Q,  Q = B A^{-1} B^T
     theta~   : eig extremes of L3^{-1} C L2^{-1} C^T
 
@@ -117,11 +117,12 @@ def scalar_extremes(sys: SaddlePointSystem, cfg: GssConfig) -> ScalarExtremes:
     pair covers the dropped-shift scheme.  The Schur-type matrices come from
     ``precond.schur`` on the sparse B and C."""
     # every shift passes require_spd (the symmetry and SPD test) before it
-    # meets eigh, which reads one triangle and raises no typed error
+    # meets eigh, which reads one triangle and raises no typed error; L3 is
+    # never solved with here, but it is the theta~ pencil's T
     lam2 = operand_sparse(cfg.lambda2, sys.m)
     lam3 = operand_sparse(cfg.lambda3, sys.p)
     lam2_lu = require_spd(lam2, "lambda2")
-    lam3_lu = require_spd(lam3, "lambda3")
+    require_spd(lam3, "lambda3")
     xi_max = xi_min = eta_max = eta_min = None
     if cfg.lambda1 is not None:
         lam1 = operand_sparse(cfg.lambda1, sys.n)
@@ -129,13 +130,13 @@ def scalar_extremes(sys: SaddlePointSystem, cfg: GssConfig) -> ScalarExtremes:
         xi_min, xi_max = _pencil_extremes(sys.A.toarray(), lam1)
         eta_min, eta_max = _pencil_extremes(schur(sys.B, lam1_lu.solve), lam2)
 
-    theta_max = _pencil_extremes(schur(sys.C.T, lam3_lu.solve), lam2)[1]
     vartheta_min, vartheta_max = _pencil_extremes(
         schur(sys.B, require_spd(sys.A, "A").solve), lam2)
     theta_tilde_min, theta_tilde_max = _pencil_extremes(
         schur(sys.C, lam2_lu.solve), lam3)
 
-    return ScalarExtremes(xi_max, xi_min, eta_max, eta_min, theta_max,
+    # theta_max = theta~_max: the two products share their nonzero eigenvalues
+    return ScalarExtremes(xi_max, xi_min, eta_max, eta_min, theta_tilde_max,
                           vartheta_max, vartheta_min,
                           theta_tilde_max, theta_tilde_min)
 

@@ -25,7 +25,7 @@ import numpy as np
 from .dense import ConvergenceFailure, require_spd
 from .precond import GssConfig, build, sigma_matrix
 from .spectral import shift_spectrum
-from .system import SaddlePointSystem, operator_apply
+from .system import SaddlePointSystem, _check_tol, _flat, operator_apply
 
 DIVERGENCE_THRESHOLD = 1e12
 
@@ -47,13 +47,14 @@ class StationaryReport:
 def pess_iterate(sys: SaddlePointSystem, cfg: GssConfig, d, u0=None,
                  tol=1e-6, maxit=20000) -> StationaryReport:
     """Run u <- u + P^{-1}(d - A u) until the relative true residual drops
-    below ``tol``.  Raises Diverged when the residual exceeds 1e12."""
+    below ``tol``.  Raises Diverged when the residual exceeds 1e12, and
+    ValueError for a ``tol`` that is not positive and finite or a ``d`` or
+    ``u0`` of the wrong length or with non-finite entries, as ``gmres``."""
     t0 = time.perf_counter()
+    _check_tol(tol)
+    d = _flat("rhs", d, sys.size)
+    x = np.zeros(sys.size) if u0 is None else _flat("u0", u0, sys.size).copy()
     precond = build(sys, cfg)
-    if hasattr(d, "to_array"):
-        d = d.to_array()
-    d = np.asarray(d, dtype=np.float64)
-    x = np.zeros(sys.size) if u0 is None else np.asarray(u0, dtype=np.float64).copy()
     nd = np.linalg.norm(d) or 1.0
     history = []
     it = 0

@@ -124,6 +124,23 @@ def operator_apply(sys: SaddlePointSystem, u):
     return sys.matrix @ np.asarray(u, dtype=np.float64)
 
 
+def _check_tol(tol):
+    """ValueError unless the solve tolerance is positive and finite."""
+    if not (tol > 0 and np.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+
+
+def _flat(name, vec, N):
+    """``vec`` as a float64 array of length N with finite entries."""
+    vec = (vec.to_array() if isinstance(vec, BlockVector)
+           else np.asarray(vec, dtype=np.float64))
+    if vec.shape != (N,):
+        raise ValueError(f"{name} length does not match system size")
+    if not np.isfinite(vec).all():
+        raise ValueError(f"{name} has non-finite entries")
+    return vec
+
+
 def rhs_for_ones(sys: SaddlePointSystem) -> BlockVector:
     """Right-hand side whose exact solution is the all-ones vector."""
     return sys.split(sys.matrix @ np.ones(sys.size))

@@ -1,85 +1,61 @@
-"""Dense kernels: the Cholesky SPD test and solves with their finiteness
-checks, the sparse SPD check, and the ARPACK 2-norm."""
+"""Dense kernels: bd's Cholesky blocks (factored in place by
+``precond.build_bd``, solved with a finiteness check on the right-hand
+side), the sparse SPD check, and the ARPACK 2-norm."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from saddlekit.dense import (CholeskyFactor, NotPositiveDefinite, cholesky,
-                             cholesky_solve, norm2, require_spd)
-
-from conftest import random_spd
-
-
-def test_cholesky_solve_oracle(rng):
-    S = random_spd(rng, 9)
-    b = rng.standard_normal(9)
-    F = cholesky(S, "S")
-    assert F.order == 9
-    x = cholesky_solve(F, b)
-    assert np.allclose(S @ x, b, atol=1e-10)
+from saddlekit import precond
+from saddlekit.dense import NotPositiveDefinite, norm2, require_spd
+from saddlekit.precond import build_bd
+from saddlekit.system import assemble
 
 
-def test_cholesky_multiple_rhs(rng):
-    S = random_spd(rng, 6)
-    B = rng.standard_normal((6, 3))
-    X = cholesky_solve(cholesky(S, "S"), B)
-    assert np.allclose(S @ X, B, atol=1e-10)
+def test_cholesky_solve_oracle(small_system):
+    A, B, C = (M.toarray() for M in (small_system.A, small_system.B,
+                                      small_system.C))
+    S = B @ np.linalg.solve(A, B.T)
+    X = C @ np.linalg.solve(S, C.T)
+    P = build_bd(small_system)
+    for F, M in ((P.s_factor, S), (P.css_factor, X)):
+        assert not np.triu(F.lower, 1).any()
+        assert np.allclose(F.lower @ F.lower.T, M, rtol=0,
+                           atol=1e-12 * np.abs(M).max())
+    n, m = small_system.n, small_system.m
+    b = np.zeros(small_system.size)
+    b[n:n + m] = 1.0
+    assert np.allclose(S @ P.apply(b)[n:n + m], 1.0, atol=1e-10)
 
 
 def test_cholesky_rejects_indefinite():
-    with pytest.raises(NotPositiveDefinite, match="^S is not positive definite$"):
-        cholesky(np.diag([1.0, -1.0]), "S")
+    # C's two equal rows leave X = C S^-1 C^T = [[1, 1], [1, 1]] (S = I)
+    sysv = assemble(sp.eye(4), sp.eye(2, 4), sp.csr_matrix([[1.0, 0.0]] * 2))
+    with pytest.raises(NotPositiveDefinite,
+                       match=r"^X = C S\^-1 C\^T is not positive definite$"):
+        build_bd(sysv)
 
 
-def test_cholesky_rejects_asymmetric():
-    M = np.array([[2.0, 1.0], [0.0, 2.0]])
-    with pytest.raises(ValueError, match="^S is not symmetric"):
-        cholesky(M, "S")
-
-
-def test_cholesky_solve_rhs_length():
-    F = cholesky(np.eye(3), "S")
+def test_cholesky_solve_rhs_length(small_system):
     with pytest.raises(ValueError):
-        cholesky_solve(F, np.ones(4))
+        build_bd(small_system).apply(np.ones(small_system.size + 1))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_cholesky_rejects_non_finite_entries(bad):
-    # NaN passes LAPACK's pivot test, so it must not read as "not SPD"
-    with pytest.raises(ValueError, match="^S has non-finite entries$"):
-        cholesky(np.array([[bad]]), "S")
-
-
-def test_cholesky_solve_rejects_non_finite_rhs():
-    F = cholesky(np.eye(3), "S")
+def test_cholesky_solve_rejects_non_finite_rhs(small_system):
+    r = np.ones(small_system.size)
+    r[small_system.n] = np.nan  # the first entry of S's block
     with pytest.raises(ValueError, match="^right-hand side has non-finite"):
-        cholesky_solve(F, np.array([1.0, np.nan, 0.0]))
+        build_bd(small_system).apply(r)
 
 
-def test_cholesky_factor_rejects_non_finite_entries():
-    with pytest.raises(ValueError, match="^Cholesky factor has non-finite"):
-        CholeskyFactor(np.array([[1.0, 0.0], [np.inf, 1.0]]))
-
-
-def test_cholesky_symmetry_checked_across_tiles(rng):
-    # the only asymmetric pair lies in tiles off the diagonal (TILE = 64)
-    S = random_spd(rng, 130)
-    S[129, 3] += 1e-9 * np.abs(S).max()
-    with pytest.raises(ValueError, match="^S is not symmetric"):
-        cholesky(S, "S")
-
-
-def test_cholesky_factors_fortran_input_in_place(rng):
-    S = random_spd(rng, 70)
-    kept = S.copy()
-    F = cholesky(S, "S")  # C-ordered: copied, left as it was
-    assert np.array_equal(S, kept)
-    SF = np.asfortranarray(S)
-    G = cholesky(SF, "S")  # Fortran-ordered: overwritten by its factor
-    assert G.lower is SF and np.array_equal(G.lower, F.lower)
-    assert np.allclose(F.lower @ F.lower.T, S, rtol=0, atol=1e-12 * S.max())
-    assert not np.triu(F.lower, 1).any()
+def test_cholesky_factors_fortran_input_in_place(small_system, monkeypatch):
+    made, schur = [], precond.schur
+    monkeypatch.setattr(precond, "schur", lambda X, solve:
+                        made.append(schur(X, solve)) or made[-1])
+    P = build_bd(small_system)
+    # potrf overwrote schur's Fortran-ordered S and X with their factors
+    assert P.s_factor.lower is made[0] and P.css_factor.lower is made[1]
+    assert made[0].flags.f_contiguous and made[1].flags.f_contiguous
 
 
 @pytest.mark.parametrize("k", [64, 256])

@@ -1,7 +1,10 @@
-"""Static checks on the package source: every imported name is used, and
-every module-level definition is referenced somewhere."""
+"""Static checks on the package source: every imported name is used,
+every module-level definition is referenced somewhere, and every name the
+README gives as `module.name` exists."""
 
 import ast
+import importlib
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -99,3 +102,14 @@ def test_dead_definition_detected():
     reader = "from m import used\nused()\n"
     assert dead_definitions({"m.py": mod}, [mod, reader]) == [
         ("m.py", "Gone"), ("m.py", "UNUSED"), ("m.py", "recursive")]
+
+
+def test_readme_names_resolve():
+    """Each backticked `module.name` in README.md whose module is one of the
+    package's is an attribute of ``saddlekit.<module>``."""
+    modules = {p.stem for p in MODULES}
+    refs = [(mod, name) for mod, name in re.findall(
+        r"`(\w+)\.(\w+)`", (ROOT / "README.md").read_text()) if mod in modules]
+    stale = [f"{mod}.{name}" for mod, name in refs
+             if not hasattr(importlib.import_module(f"saddlekit.{mod}"), name)]
+    assert refs and stale == []

@@ -50,6 +50,25 @@ def test_maxit_reached(small_system):
     assert rep.iterations == 3
 
 
+@pytest.mark.parametrize("case, message", [
+    pytest.param(case, message, id=case) for case, message in [
+        ("tol-nan", "^tol must be positive and finite, got nan$"),
+        ("tol-negative", "^tol must be positive and finite, got -1.0$"),
+        ("rhs-nan", "^rhs has non-finite entries$"),
+        ("rhs-short", "^rhs length does not match system size$"),
+        ("u0-nan", "^u0 has non-finite entries$")]])
+def test_bad_inputs_raise_as_in_gmres(small_system, case, message):
+    # the parent ran all maxit steps on each, or failed in a broadcast
+    d = rhs_for_ones(small_system).to_array()
+    bad = d.copy()
+    bad[0] = np.nan
+    kwargs = {"tol-nan": dict(tol=np.nan), "tol-negative": dict(tol=-1.0),
+              "rhs-nan": dict(d=bad), "rhs-short": dict(d=d[:-1]),
+              "u0-nan": dict(u0=bad)}[case]
+    with pytest.raises(ValueError, match=message):
+        pess_iterate(small_system, pess_cfg(2.0), **{"d": d, **kwargs})
+
+
 def test_divergence_raises(small_system):
     # a tiny s with tiny shifts puts the spectral radius far above one
     cfg = pess_cfg(0.01, lam3=1e-6)
