@@ -209,11 +209,13 @@ def cmd_solve(args):
 
 
 def cmd_compare(args):
-    sys_, pid = _make_system(args)
     kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
+    if not kinds:
+        raise CliError("empty kind list")
     for k in kinds:
         if k not in PRECOND_KINDS:
             raise CliError(f"unknown preconditioner kind {k!r}")
+    sys_, pid = _make_system(args)
     records = []
     for k in kinds:
         try:

@@ -1,10 +1,10 @@
 """Typed errors and the kernels that carry them.
 
 ``require_spd`` is the one symmetry and SPD test of an operand: a sparse
-L D L^T sign test that returns the factor.  ``CholeskyFactor`` holds a
-dense lower factor of the exact block-diagonal baseline (bd); ``norm2``
-turns an ARPACK failure into ``ConvergenceFailure``.  Everything else,
-bd's dense Cholesky included, calls numpy/scipy directly.
+L D L^T sign test that returns the factor.  ``CholeskyFactor`` holds the
+dense lower factor of bd's S; ``norm2`` turns an ARPACK failure into
+``ConvergenceFailure``.  Everything else, bd's dense Cholesky included,
+calls numpy/scipy directly.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def require_spd(M, what):
 @dataclass(frozen=True)
 class CholeskyFactor:
     """Lower Cholesky factor L with S = L L^T, as ``precond.build_bd`` keeps
-    it for each of its two dense blocks."""
+    it for S = B A^{-1} B^T, its one dense block."""
 
     lower: np.ndarray
 

@@ -123,7 +123,8 @@ def gmres(sys: SaddlePointSystem, d, precond=None, tol=1e-6, maxit=7000,
     t0 = time.perf_counter()
     N = sys.size
     d = _flat("rhs", d, N)
-    x0 = np.zeros(N) if x0 is None else _flat("x0", x0, N)
+    zero_start = x0 is None
+    x0 = np.zeros(N) if zero_start else _flat("x0", x0, N)
     apply_p = (lambda r: r) if precond is None else precond
     right = side == "right"
 
@@ -150,10 +151,11 @@ def gmres(sys: SaddlePointSystem, d, precond=None, tol=1e-6, maxit=7000,
     lap("operator_apply")
     n_matvec, n_apply = 1, 0
     true_res = float(np.linalg.norm(r0) / nd)
-    if not right:
-        r0 = apply_p(r0)
-        nd = float(np.linalg.norm(apply_p(d))) or 1.0
-        n_apply += 2
+    if not right:  # from zero, r0 = d - A 0 is d: apply P^-1 to it once
+        pd = apply_p(d)
+        r0 = pd if zero_start else apply_p(r0)
+        nd = float(np.linalg.norm(pd)) or 1.0
+        n_apply += 1 if zero_start else 2
         lap("precond_apply")
     beta = float(np.linalg.norm(r0))
     history = [beta / nd]

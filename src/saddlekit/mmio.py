@@ -21,6 +21,10 @@ import scipy.sparse as sp
 _HEADER = "%%MatrixMarket"
 # comment and blank lines, which scipy's reader rejects after the size line
 _SKIPPED_LINES = re.compile(rb"^(?:%[^\n]*|\s*?)(?:\n|\Z)", re.MULTILINE)
+# the comment and blank lines up to the size line, and the size line: scipy's
+# reader passes those, the writer's own comment among them
+_HEAD = re.compile(rb"(?:%[^\n]*\n|[ \t\r\f\v]*\n)*[^\n]*")
+_BEFORE_BLANK = re.compile(rb"\n\s")  # precedes every blank line
 
 
 class MatrixMarketError(ValueError):
@@ -45,7 +49,10 @@ def read_matrix_market(path) -> sp.csr_matrix:
         if symmetry not in ("general", "symmetric"):
             raise MatrixMarketError(f"{path}: unsupported symmetry "
                                     f"{symmetry!r}")
-        body = _SKIPPED_LINES.sub(b"", fh.read())
+        body = fh.read()
+    nl = _HEAD.match(body).end()  # the regex pass runs only if needed
+    if body.find(b"%", nl) >= 0 or _BEFORE_BLANK.search(body, nl):
+        body = _SKIPPED_LINES.sub(b"", body)
     banner = f"{_HEADER} matrix {layout} {field_kind} {symmetry}\n".encode()
     try:
         M = scipy.io.mmread(io.BytesIO(banner + body))

@@ -224,51 +224,57 @@ def schur(X, solve) -> np.ndarray:
     return solve_columns(lambda R: X @ solve(R), X.T)
 
 
-def _cholesky(S, what) -> CholeskyFactor:
-    """S's lower Cholesky factor, in place over a Fortran-ordered S."""
+def coefficient_lu(sys: SaddlePointSystem):
+    """Sparse LU of the coefficient matrix; ``Singular`` if it is singular."""
     try:
-        return CholeskyFactor(sla.cholesky(S, lower=True, overwrite_a=True))
-    except sla.LinAlgError as exc:
-        raise NotPositiveDefinite(f"{what} is not positive definite") from exc
-
-
-def _cholesky_solve(F: CholeskyFactor, rhs):
-    """S^{-1} rhs for one or more columns; ValueError on a non-finite rhs."""
-    if not np.isfinite(rhs).all():
-        raise ValueError("right-hand side has non-finite entries")
-    y = sla.solve_triangular(F.lower, rhs, lower=True, check_finite=False)
-    return sla.solve_triangular(F.lower.T, y, lower=False, check_finite=False)
+        return splu(sys.matrix.tocsc())
+    except RuntimeError as exc:
+        raise Singular(f"coefficient matrix is singular: {exc}") from exc
 
 
 @dataclass(frozen=True)
 class BdPreconditioner:
-    """diag(A, S, X) with S = B A^{-1} B^T and X = C S^{-1} C^T: A through
-    its sparse factor, S and X through dense Cholesky factors checked once,
-    when made, so an apply checks only r."""
+    """diag(A, S, X), S = B A^{-1} B^T and X = C S^{-1} C^T: A through its
+    sparse factor, S through its dense Cholesky factor, checked once when
+    made, and X, never formed, through Amat's sparse LU: X^{-1} r3 is block 3
+    of Amat^{-1} [0; 0; r3], since the block L D L^T of diag(I, -I, I) Amat
+    has the pivots A, -S and X (Benzi, Golub & Liesen, Acta Numerica 2005)."""
 
     A: sp.csr_matrix
+    C: sp.csr_matrix
     a_lu: object  # scipy.sparse.linalg.SuperLU of A, from require_spd
     s_factor: CholeskyFactor
-    css_factor: CholeskyFactor
+    lu: object  # scipy.sparse.linalg.SuperLU of Amat, from coefficient_lu
     build_seconds: float  # wall time of ``build_bd``
 
-    def _blockwise(self, r, f_a, f_dense):
-        """Stack f_a(A's block of r), f_dense(s_factor, S's block) and
-        f_dense(css_factor, X's block)."""
+    def _split(self, r):
+        """A's, S's and X's blocks of r."""
         cuts = np.cumsum([self.A.shape[0], len(self.s_factor.lower)])
-        ra, rs, rx = np.split(np.asarray(r, dtype=np.float64), cuts)
-        return np.concatenate([f_a(ra), f_dense(self.s_factor, rs),
-                               f_dense(self.css_factor, rx)])
+        return np.split(np.asarray(r, dtype=np.float64), cuts)
+
+    def _solve_s(self, rhs):
+        """S^{-1} rhs for one or more columns from S's lower factor."""
+        L = self.s_factor.lower
+        y = sla.solve_triangular(L, rhs, lower=True, check_finite=False)
+        return sla.solve_triangular(L.T, y, lower=False, check_finite=False)
 
     def apply(self, r):
         """Solve P w = r blockwise for a flat array r (optionally
-        multi-column)."""
-        return self._blockwise(r, self.a_lu.solve, _cholesky_solve)
+        multi-column); ValueError on a non-finite r."""
+        ra, rs, rx = self._split(r)
+        if not np.isfinite(r).all():
+            raise ValueError("right-hand side has non-finite entries")
+        rhs = np.zeros(np.shape(r), order="F")  # [0; 0; rx], p >= 1 rows
+        rhs[-len(rx):] = rx
+        return np.concatenate([self.a_lu.solve(ra), self._solve_s(rs),
+                               self.lu.solve(rhs)[-len(rx):]])
 
     def matvec(self, x):
-        """P x: A x1, then L L^T x2 and L L^T x3 from the dense factors."""
-        return self._blockwise(x, self.A.__matmul__,
-                               lambda F, xb: F.lower @ (F.lower.T @ xb))
+        """P x: A x1, L L^T x2 from S's factor and C S^{-1} C^T x3."""
+        xa, xs, xx = self._split(x)
+        L = self.s_factor.lower
+        return np.concatenate([self.A @ xa, L @ (L.T @ xs),
+                               self.C @ self._solve_s(self.C.T @ xx)])
 
     __call__ = apply
     # every block is symmetric, so P^T = P
@@ -276,24 +282,30 @@ class BdPreconditioner:
 
     @property
     def factor_nnz(self):
-        """Factor entries: those SuperLU stores for A (``a_lu.nnz``) plus
-        the lower triangles of the S and X factors."""
-        return self.a_lu.nnz + sum(len(F.lower) * (len(F.lower) + 1) // 2
-                                   for F in (self.s_factor, self.css_factor))
+        """Factor entries: those SuperLU stores for A and for Amat
+        (``nnz``) plus the lower triangle of S's factor."""
+        m = len(self.s_factor.lower)
+        return self.a_lu.nnz + self.lu.nnz + m * (m + 1) // 2
 
 
 def build_bd(sys: SaddlePointSystem) -> BdPreconditioner:
     """Exact block diagonal baseline diag(A, S, X), S = B A^{-1} B^T and
     X = C S^{-1} C^T.  A's sparse factor checks it is SPD; S = ``schur(B,
-    A's solve)`` and X = ``schur(C, S's solve)`` are factored in place by
-    scipy's Cholesky, so only their two arrays and 64-column blocks are
-    held, never dense A, B or C."""
+    A's solve)`` is factored in place by scipy's Cholesky, so the one dense
+    array held is S's, never A, B, C or X.  With A SPD and S factored,
+    det Amat = det A det S det X and X is semidefinite, so a singular Amat
+    means X is not positive definite."""
     t0 = perf_counter()
     a_lu = require_spd(sys.A, "A")
-    s_factor = _cholesky(schur(sys.B, a_lu.solve), "S = B A^-1 B^T")
-    css_factor = _cholesky(
-        schur(sys.C, lambda R: _cholesky_solve(s_factor, R)), "X = C S^-1 C^T")
-    return BdPreconditioner(sys.A, a_lu, s_factor, css_factor,
+    what = "S = B A^-1 B^T"
+    try:
+        s_factor = CholeskyFactor(sla.cholesky(
+            schur(sys.B, a_lu.solve), lower=True, overwrite_a=True))
+        what = "X = C S^-1 C^T"
+        lu = coefficient_lu(sys)
+    except (sla.LinAlgError, Singular) as exc:
+        raise NotPositiveDefinite(f"{what} is not positive definite") from exc
+    return BdPreconditioner(sys.A, sys.C, a_lu, s_factor, lu,
                             perf_counter() - t0)
 
 

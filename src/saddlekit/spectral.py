@@ -28,9 +28,9 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from .dense import ConvergenceFailure, Singular, norm2, require_spd
-from .precond import (GssConfig, operand_sparse, schur, sigma_matrix,
-                      solve_columns)
+from .dense import ConvergenceFailure, norm2, require_spd
+from .precond import (GssConfig, coefficient_lu, operand_sparse, schur,
+                      sigma_matrix, solve_columns)
 from .system import SaddlePointSystem, require_densifiable
 
 THETA_TILDE_CONVENTION = "lambda3_inv_C_lambda2_inv_Ct"
@@ -80,14 +80,6 @@ def preconditioned_spectrum(sys: SaddlePointSystem, precond=None) -> np.ndarray:
         raise ConvergenceFailure(str(exc)) from exc
 
 
-def _coefficient_lu(sys: SaddlePointSystem):
-    """Sparse LU of the coefficient matrix; ``Singular`` if it is singular."""
-    try:
-        return spla.splu(sys.matrix.tocsc())
-    except RuntimeError as exc:
-        raise Singular(f"coefficient matrix is singular: {exc}") from exc
-
-
 def shift_spectrum(sys: SaddlePointSystem, cfg: GssConfig) -> np.ndarray:
     """nu = eig(A^{-1} Sigma) from ``solve_columns`` around A's LU, so that
     eig(P^{-1} A) = 1/(s + nu) and eig(Sigma^{-1} A) = 1/nu.  A dropped L1
@@ -96,7 +88,7 @@ def shift_spectrum(sys: SaddlePointSystem, cfg: GssConfig) -> np.ndarray:
     ``ConvergenceFailure``."""
     k = 0 if cfg.is_pess else sys.n
     require_densifiable(sys, sys.size - k)
-    lu = _coefficient_lu(sys)
+    lu = coefficient_lu(sys)
     M = solve_columns(lambda R: lu.solve(R)[k:], sigma_matrix(sys, cfg)[:, k:])
     try:
         return sla.eigvals(M, overwrite_a=True)
@@ -322,7 +314,7 @@ def condition_number(sys: SaddlePointSystem, precond=None) -> float:
     M = P^{-1} A, or of A itself without ``precond``.  Both singular values
     come from ARPACK on sparse operators around one sparse LU of A, so
     nothing is densified and no size limit applies."""
-    A, P, lu = sys.matrix, precond, _coefficient_lu(sys)
+    A, P, lu = sys.matrix, precond, coefficient_lu(sys)
 
     def op(matvec, rmatvec):
         return spla.LinearOperator(A.shape, matvec=matvec, rmatvec=rmatvec,

@@ -164,6 +164,15 @@ def test_compare_unknown_kind(tmp_path):
     assert rc == EXIT_USAGE
 
 
+@pytest.mark.parametrize("kinds", [",", " , ,", ""])
+def test_compare_empty_kind_list(tmp_path, capsys, kinds):
+    report = tmp_path / "x.csv"
+    rc = main(["compare", *GEN, "--kinds", kinds, "--report", str(report)])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err == "error: empty kind list\n"
+    assert not report.exists()
+
+
 def test_spectrum_flow(tmp_path, capsys):
     eig_csv = tmp_path / "eigs.csv"
     report = tmp_path / "bounds.json"

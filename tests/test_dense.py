@@ -1,6 +1,6 @@
-"""Dense kernels: bd's Cholesky blocks (factored in place by
-``precond.build_bd``, solved with a finiteness check on the right-hand
-side), the sparse SPD check, and the ARPACK 2-norm."""
+"""Dense kernels: bd's S block (factored in place by ``precond.build_bd``)
+and its X block, the apply's finiteness check on the right-hand side, the
+sparse SPD check, and the ARPACK 2-norm."""
 
 import numpy as np
 import pytest
@@ -18,14 +18,18 @@ def test_cholesky_solve_oracle(small_system):
     S = B @ np.linalg.solve(A, B.T)
     X = C @ np.linalg.solve(S, C.T)
     P = build_bd(small_system)
-    for F, M in ((P.s_factor, S), (P.css_factor, X)):
-        assert not np.triu(F.lower, 1).any()
-        assert np.allclose(F.lower @ F.lower.T, M, rtol=0,
-                           atol=1e-12 * np.abs(M).max())
+    F = P.s_factor.lower
+    assert not np.triu(F, 1).any()
+    assert np.allclose(F @ F.T, S, rtol=0, atol=1e-12 * np.abs(S).max())
     n, m = small_system.n, small_system.m
     b = np.zeros(small_system.size)
     b[n:n + m] = 1.0
     assert np.allclose(S @ P.apply(b)[n:n + m], 1.0, atol=1e-10)
+    # X is never formed: its block of the apply solves with the
+    # coefficient matrix's LU
+    b[n:] = 0.0
+    b[n + m:] = 1.0
+    assert np.allclose(X @ P.apply(b)[n + m:], 1.0, atol=1e-10)
 
 
 def test_cholesky_rejects_indefinite():
@@ -53,9 +57,8 @@ def test_cholesky_factors_fortran_input_in_place(small_system, monkeypatch):
     monkeypatch.setattr(precond, "schur", lambda X, solve:
                         made.append(schur(X, solve)) or made[-1])
     P = build_bd(small_system)
-    # potrf overwrote schur's Fortran-ordered S and X with their factors
-    assert P.s_factor.lower is made[0] and P.css_factor.lower is made[1]
-    assert made[0].flags.f_contiguous and made[1].flags.f_contiguous
+    # potrf overwrote schur's Fortran-ordered S with its factor
+    assert P.s_factor.lower is made[0] and made[0].flags.f_contiguous
 
 
 @pytest.mark.parametrize("k", [64, 256])

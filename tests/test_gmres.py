@@ -139,8 +139,24 @@ def test_apply_counts_match_counting_wrappers(small_system, monkeypatch,
     assert rep.n_matvec == rep.iterations + 2
     if P is None:
         assert rep.n_precond == 0
-    else:  # right: the iterate's P^-1; left: P^-1 of r0 and of d
-        assert rep.n_precond == rep.iterations + (1 if side == "right" else 2)
+    else:  # right: the iterate's P^-1; left: P^-1 of d, which from the
+        # zero start is r0 as well, so one apply serves both
+        assert rep.n_precond == rep.iterations + 1
+
+
+def test_left_start_applies(small_system):
+    """An explicit x0 costs P^-1 of r0 and of d; from the zero start the
+    one P^-1 d serves both and the iterates are unchanged."""
+    P = build(small_system, make_config("ss", alpha=0.1))
+    d = rhs_for_ones(small_system)
+    reps = [gmres(small_system, d, precond=P, tol=1e-10, side="left", x0=x0)
+            for x0 in (None, np.zeros(small_system.size),
+                       np.full(small_system.size, 0.5))]
+    for rep in reps:
+        assert rep.converged
+    assert [rep.n_precond - rep.iterations for rep in reps] == [1, 2, 2]
+    assert np.array_equal(reps[0].solution, reps[1].solution)
+    assert np.array_equal(reps[0].res_history, reps[1].res_history)
 
 
 def test_left_preconditioned_reports_both(small_system):

@@ -64,6 +64,22 @@ def test_read_skips_comments_and_blanks(tmp_path):
     assert M[1, 1] == 7.0 and M.sum() == 7.0
 
 
+@pytest.mark.parametrize("body", [
+    "%\n2 2 1\n2 2 7.0\n",  # the writer's layout: no regex pass
+    "% c\n\n  \n2 2 1\n\n2 2 7.0\n",
+    "2 2 1\n2 2 7.0\n\n",
+    "2 2 1\n2 2 7.0\n  ",
+    "2 2 1\r\n\r\n 2 2 7.0\r\n% c",
+    "2 2 1\n%\n2 2 7.0",
+])
+def test_read_skips_lines_after_the_size_line(tmp_path, body):
+    path = tmp_path / "c.mtx"
+    path.write_bytes(b"%%MatrixMarket matrix coordinate real general\n"
+                     + body.encode())
+    M = read_matrix_market(path).toarray()
+    assert M[1, 1] == 7.0 and M.sum() == 7.0
+
+
 @pytest.mark.parametrize("header, body", [
     ("nonsense", "1 1 1\n1 1 1.0\n"),
     ("%%MatrixMarket matrix coordinate complex general", "1 1 1\n1 1 1 0\n"),

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from saddlekit import precond
 from saddlekit.dense import NotPositiveDefinite, Singular, require_spd
 from saddlekit.gmres import gmres, true_residual
 from saddlekit.precond import (KINDS, GssConfig, build, build_bd,
@@ -262,10 +263,20 @@ def test_schur_is_bit_identical_to_one_multicolumn_solve():
     assert np.array_equal(schur(sysv.B, lu.solve), S)
 
 
+def test_build_bd_calls_schur_once_for_s(monkeypatch):
+    """X = C S^-1 C^T is never formed: the one Schur product is S's."""
+    sysv, calls, schur_ = example1(4), [], precond.schur
+    monkeypatch.setattr(precond, "schur", lambda X, solve:
+                        calls.append(X) or schur_(X, solve))
+    build_bd(sysv)
+    assert len(calls) == 1 and calls[0] is sysv.B
+
+
 def test_build_bd_memory_peak():
-    """The build holds S's and X's m x m arrays (m = p here) and 64-column
-    blocks, with no transposed or densified copy beside them: the traced
-    peak stays below 3 of their 8 m^2 bytes."""
+    """The build holds S's m x m array, 64-column blocks and the sparse LU
+    of the coefficient matrix, with no p x p array and no transposed or
+    densified copy: the traced peak stays below 2.25 of S's 8 m^2 bytes
+    (2.0 measured at l=24)."""
     sysv = example1(24)
     tracemalloc.start()
     try:
@@ -273,7 +284,7 @@ def test_build_bd_memory_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * 8 * sysv.m ** 2
+    assert peak < 2.25 * 8 * sysv.m ** 2
 
 
 def test_build_seconds_recorded(small_system):
@@ -289,11 +300,10 @@ def test_factor_nnz_counts(small_system):
     assert G.factor_nnz >= (np.count_nonzero(G.lu.L.toarray())
                             + np.count_nonzero(G.lu.U.toarray()))
     P = build_bd(small_system)
-    m, p = small_system.m, small_system.p
-    assert P.factor_nnz == (P.a_lu.nnz + m * (m + 1) // 2 + p * (p + 1) // 2)
-    # the random S and X are dense, so their factors fill the lower triangle
+    m = small_system.m
+    assert P.factor_nnz == P.a_lu.nnz + P.lu.nnz + m * (m + 1) // 2
+    # the random S is dense, so its factor fills the lower triangle
     assert np.count_nonzero(P.s_factor.lower) == m * (m + 1) // 2
-    assert np.count_nonzero(P.css_factor.lower) == p * (p + 1) // 2
     # a property, not a field: the built dataclasses hold only the factors
     for built in (G, P):
         assert "factor_nnz" not in {f.name for f in dataclasses.fields(built)}
