@@ -18,6 +18,6 @@ from .spectral import (BoundReport, InapplicableBound, ScalarExtremes,
 from .stationary import (Diverged, StationaryReport, convergence_predicate,
                          pess_iterate, sufficient_s_lower_bound)
 from .system import (BlockVector, SaddlePointSystem, assemble, operator_apply,
-                     rhs_for_ones, to_dense, validate)
+                     rhs_for_ones, validate)
 
 __version__ = "1.0.0"

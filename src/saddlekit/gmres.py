@@ -13,9 +13,12 @@ or at ``maxit``) the newest vector gets its second pass at once instead.
 
 The Hessenberg columns are reduced by Givens rotations.  The rotated
 diagonal of column k is one dot product of the column with weights
-c_{i-1} * prod_{j=i}^{k-1}(-s_j) that every rotation updates; R is built
-only when an iterate is assembled.  Each step monitors the least-squares
-residual |g_{k+1}| of the rotated system relative to the norm of the
+c_{i-1} * prod_{j=i}^{k-1}(-s_j) that every rotation updates.  An iterate
+solves R y = g one block column of R at a time, the last first, each
+rotated in a copy of its Hessenberg block; H itself is never rotated, so a
+solve that goes on after a failed confirm reads the same columns it would
+have read without one.  Each step monitors the least-squares residual
+|g_{k+1}| of the rotated system relative to the norm of the
 (preconditioned, on the left) right-hand side; every rotation scales it by
 |sin| <= 1, so the history never increases.  The two preconditioning
 sides differ in what it measures and in when a solve counts as converged,
@@ -52,8 +55,9 @@ block: the first vector of the next block is made in the spare row, and
 the next block starts from a copy of it, one row per block.  Hessenberg
 block b holds Arnoldi columns as rows, cut to the BASIS_BLOCK * (b + 1) + 1
 entries they can fill, which is about half of the square.  A solve of k
-steps holds about 8 k N bytes of basis, 4 k^2 of Hessenberg blocks and,
-while an iterate is assembled, the 8 k^2 of the dense triangular factor R.
+steps holds about 8 k N bytes of basis and 4 k^2 of Hessenberg blocks;
+assembling an iterate adds one block column of R, at most
+8 BASIS_BLOCK (k + 1) bytes.
 """
 
 from __future__ import annotations
@@ -225,6 +229,24 @@ def gmres(sys: SaddlePointSystem, d, precond=None, tol=1e-6, maxit=7000,
             out[:M.shape[1]] += y[j:j + len(M)] @ M
         return out
 
+    def solve_block(y, j0, Hb):
+        """Solve R y = g for the unknowns of the Hessenberg block Hb, columns
+        j0..top-1 of H, once the later unknowns' terms are off y = g: rotate
+        a copy of the block column R[:top + 1, j0:top], solve its diagonal
+        block and take the solved unknowns' terms off y[:j0].  A rotation of
+        whole rows changes only entries below the diagonal of the columns
+        left of it, which the solve never reads."""
+        nb, top = len(Hb), j0 + len(Hb)
+        Rb = Hb[:, :top + 1].T.copy()
+        flat = Rb.reshape(-1)
+        for off, c, sj in zip(range(0, top * nb, nb), cs, sn):
+            # rotation j on rows j and j+1, at off and off + nb of flat; n,
+            # offx, incx, offy, incy, overwrite_x and overwrite_y go by
+            # position, as f2py's keyword parsing costs more than the call
+            drot(flat, flat, c, sj, nb, off, 1, off + nb, 1, 1, 1)
+        y[j0:top] = dtrsv(Rb[j0:top].T, y[j0:top], lower=1, trans=1)
+        y[:j0] -= Rb[:j0] @ y[j0:top]
+
     def confirm(k, res, breakdown):
         """Assemble the iterate after k steps; returns it, its true residual,
         whether the solve converged and whether it stops.  It stops
@@ -233,14 +255,9 @@ def gmres(sys: SaddlePointSystem, d, precond=None, tol=1e-6, maxit=7000,
         solved, and later steps cannot move the iterate."""
         nonlocal n_matvec, n_apply
         lap("orthogonalize")
-        R = np.zeros((k + 1, k))  # the first k columns of H, transposed
-        for j0, Hb in leading(H, k):
-            Hb = Hb[:, :k + 1]
-            R[:Hb.shape[1], j0:j0 + len(Hb)] = Hb.T
-        for j in range(k):  # the stored rotations, row by row, in place
-            drot(R[j, j:], R[j + 1, j:], cs[j], sn[j], overwrite_x=True,
-                 overwrite_y=True)
-        y = dtrsv(R[:k].T, np.asarray(g[:k]), lower=1, trans=1)  # R y = g
+        y = np.array(g[:k])  # R y = g, the last block column of R first
+        for j0, Hb in reversed(list(leading(H, k))):
+            solve_block(y, j0, Hb)
         corr = left_product(y, V, k, N)
         u = x0 + (apply_p(corr) if right else corr)
         n_matvec += 1

@@ -54,8 +54,11 @@ def read_matrix_market(path) -> sp.csr_matrix:
     if body.find(b"%", nl) >= 0 or _BEFORE_BLANK.search(body, nl):
         body = _SKIPPED_LINES.sub(b"", body)
     banner = f"{_HEADER} matrix {layout} {field_kind} {symmetry}\n".encode()
+    # scipy's reader crashes the process when the last line ends in a space,
+    # tab or carriage return instead of a newline: end it in one bare newline
+    text = b"".join((banner, body.rstrip(), b"\n"))
     try:
-        M = scipy.io.mmread(io.BytesIO(banner + body))
+        M = scipy.io.mmread(io.BytesIO(text))
     except (ValueError, OverflowError) as exc:
         raise MatrixMarketError(f"{path}: {exc}") from None
     return sp.csr_matrix(M, dtype=np.float64)

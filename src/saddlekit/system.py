@@ -155,11 +155,6 @@ def require_densifiable(sys: SaddlePointSystem, order=None):
         raise ValueError(f"{what} {order} exceeds densification guard {DENSIFY_LIMIT}")
 
 
-def to_dense(sys: SaddlePointSystem):
-    require_densifiable(sys)
-    return sys.matrix.toarray()
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     spd_ok: bool

@@ -1,13 +1,17 @@
 """Shared fixtures and helpers: small deterministic saddle systems used as
 oracles across the suite."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from saddlekit.system import assemble, to_dense
+import saddlekit
+from saddlekit.system import assemble
 
 
 def random_system(rng, n=12, m=8, p=5, spd_shift=0.5):
@@ -22,8 +26,16 @@ def random_system(rng, n=12, m=8, p=5, spd_shift=0.5):
 
 def iteration_matrix_radius(sys, precond):
     """rho(I - P^{-1} A) by densifying the preconditioned operator."""
-    PA = precond.apply(to_dense(sys))
+    PA = precond.apply(sys.matrix.toarray())
     return float(np.max(np.abs(sla.eigvals(np.eye(sys.size) - PA))))
+
+
+def cli_env(**extra):
+    """The environment of a ``python -m saddlekit`` subprocess that imports
+    this checkout's package."""
+    src = str(Path(saddlekit.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
 
 
 def arpack_fails(*args, **kwargs):

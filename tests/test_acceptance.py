@@ -309,9 +309,8 @@ def test_criterion6_splitting_identity():
         sysv = random_system(np.random.default_rng(3000 + seed))
         s = 0.5 + 3.0 * (seed / 10.0)
         cfg = make_config("pess", lambda1=1.0, lambda2=2.0, lambda3=0.01, s=s)
-        from saddlekit.system import to_dense
         rel = splitting_residual(sysv, cfg) / np.linalg.norm(
-            to_dense(sysv), "fro")
+            sysv.matrix.toarray(), "fro")
         if rel >= 1e-12:
             failures.append(f"seed {seed} s={s:g}: residual {rel:.2e}")
     verdict("criterion 6b: splitting identity P - Q = coefficient matrix",
@@ -388,13 +387,12 @@ def test_criterion6_phi_quadratic():
     sysv = random_system(np.random.default_rng(6000))
     cfg = make_config("pess", lambda1=1.0, lambda2=1.0, lambda3=0.001, s=1.0)
     from saddlekit.precond import operand_sparse
-    from saddlekit.system import to_dense
     n, m = sysv.n, sysv.m
     sigma = np.zeros((sysv.size, sysv.size))
     sigma[:n, :n] = operand_sparse(cfg.lambda1, n).toarray()
     sigma[n:n + m, n:n + m] = operand_sparse(cfg.lambda2, m).toarray()
     sigma[n + m:, n + m:] = operand_sparse(cfg.lambda3, sysv.p).toarray()
-    Amat = to_dense(sysv)
+    Amat = sysv.matrix.toarray()
     grid = np.linspace(-1.0, 3.0, 17)
     vals = []
     for s in grid:

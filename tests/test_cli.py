@@ -3,17 +3,14 @@ tiny generated problem."""
 
 import csv
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-import saddlekit
 from saddlekit import cli, precond
 from saddlekit.cli import EXIT_NOCONV, EXIT_OK, EXIT_USAGE, main
 from saddlekit.dense import Singular
@@ -23,7 +20,7 @@ from saddlekit.problems import NoiseSpec, example1, perturb
 from saddlekit.spectral import analyze
 from saddlekit.system import rhs_for_ones
 
-from conftest import arpack_fails
+from conftest import arpack_fails, cli_env
 
 GEN = ["--gen-l", "3"]
 
@@ -39,14 +36,6 @@ def test_solve_unpreconditioned(capsys):
     out = capsys.readouterr().out
     assert "none" in out and "it=" in out and "res=" in out
     assert float(printed_field(out, "true_res")) < 1e-6
-
-
-def cli_env(**extra):
-    """The environment of a ``python -m saddlekit`` subprocess that imports
-    this checkout's package."""
-    src = str(Path(saddlekit.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": path, **extra}
 
 
 def test_python_dash_m_runs_the_cli():

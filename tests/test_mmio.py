@@ -2,6 +2,8 @@
 
 import csv
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from saddlekit.cli import EXIT_USAGE, main
 from saddlekit.mmio import (CSV_COLUMNS, MatrixMarketError, ReportRecord,
                             format_res, read_matrix_market, write_matrix_market,
                             write_report)
+
+from conftest import cli_env
 
 
 def test_write_read_round_trip(tmp_path, rng):
@@ -78,6 +82,23 @@ def test_read_skips_lines_after_the_size_line(tmp_path, body):
                      + body.encode())
     M = read_matrix_market(path).toarray()
     assert M[1, 1] == 7.0 and M.sum() == 7.0
+
+
+@pytest.mark.parametrize("end", [" ", "\t", "\r"],
+                         ids=["space", "tab", "carriage-return"])
+def test_read_last_line_without_newline(tmp_path, end):
+    # scipy's reader kills the process on such an ending, so the read runs
+    # in a child process: a crash fails this test instead of the test run
+    path = tmp_path / "e.mtx"
+    path.write_bytes(b"%%MatrixMarket matrix coordinate real general\n"
+                     b"2 2 1\n2 2 3.0" + end.encode())
+    code = ("import sys; from saddlekit.mmio import read_matrix_market; "
+            "print(read_matrix_market(sys.argv[1]).toarray().tolist())")
+    proc = subprocess.run([sys.executable, "-c", code, str(path)],
+                          capture_output=True, text=True, timeout=60,
+                          env=cli_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[[0.0, 0.0], [0.0, 3.0]]\n"
 
 
 @pytest.mark.parametrize("header, body", [

@@ -10,7 +10,7 @@ from saddlekit.dense import ConvergenceFailure
 from saddlekit.params import estimate_params, phi, phi_minimizer
 from saddlekit.precond import make_config, operand_sparse
 from saddlekit.problems import example1
-from saddlekit.system import assemble, to_dense
+from saddlekit.system import assemble
 
 from conftest import arpack_fails, random_system
 
@@ -27,7 +27,7 @@ def direct_phi(sys, cfg, s):
     sigma[:n, :n] = operand_sparse(cfg.lambda1, n).toarray()
     sigma[n:n + m, n:n + m] = operand_sparse(cfg.lambda2, m).toarray()
     sigma[n + m:, n + m:] = operand_sparse(cfg.lambda3, sys.p).toarray()
-    Q = sigma - (1.0 - s) * to_dense(sys)
+    Q = sigma - (1.0 - s) * sys.matrix.toarray()
     return float(np.linalg.norm(Q, "fro") ** 2)
 
 

@@ -23,7 +23,7 @@ from saddlekit.spectral import (BoundReport, InapplicableBound, analyze,
                                 ScalarExtremes, scalar_extremes,
                                 shift_spectrum,
                                 write_eigenvalue_csv, write_spectral_report)
-from saddlekit.system import assemble, to_dense
+from saddlekit.system import assemble
 
 from conftest import arpack_fails, random_system
 
@@ -40,7 +40,7 @@ def lpess_cfg(s, lam3=0.001):
 
 
 def test_exact_inverse_gives_all_ones(small_system):
-    M = to_dense(small_system)
+    M = small_system.matrix.toarray()
     spec = preconditioned_spectrum(small_system,
                                    lambda r: np.linalg.solve(M, r))
     assert np.allclose(spec, 1.0, atol=1e-8)
@@ -51,7 +51,7 @@ def test_spectrum_matches_dense_oracle(small_system):
     P = build(small_system, cfg)
     spec = preconditioned_spectrum(small_system, P)
     ref = np.linalg.eigvals(np.linalg.solve(P.matrix.toarray(),
-                                            to_dense(small_system)))
+                                            small_system.matrix.toarray()))
     assert np.allclose(np.sort_complex(spec),
                        np.sort_complex(ref), atol=1e-8)
 
@@ -97,7 +97,7 @@ def test_analyze_maps_the_shift_spectrum_forward(small_system, cfg,
 def test_unpreconditioned_spectrum(small_system):
     spec = preconditioned_spectrum(small_system)
     assert spec.dtype == np.complex128 and spec.shape == (small_system.size,)
-    ref = np.linalg.eigvals(to_dense(small_system))
+    ref = np.linalg.eigvals(small_system.matrix.toarray())
     assert np.allclose(np.sort_complex(spec),
                        np.sort_complex(ref), atol=1e-8)
 
@@ -130,7 +130,7 @@ def test_blocked_spectrum_matches_dense_oracle(kind):
             widths.append(R.shape[1])
             return np.linalg.solve(Pd, R)
     spec = preconditioned_spectrum(sysv, P)
-    ref = np.linalg.eigvals(np.linalg.solve(Pd, to_dense(sysv)))
+    ref = np.linalg.eigvals(np.linalg.solve(Pd, sysv.matrix.toarray()))
     assert spec.shape == ref.shape
     assert hausdorff(spec, ref) <= 1e-10 * np.abs(ref).max()
     if kind == "callable":
@@ -422,7 +422,7 @@ def test_lpess_cluster_too_small(lpess_case, small_system):
 
 
 def test_condition_number_oracle(small_system):
-    M = to_dense(small_system)
+    M = small_system.matrix.toarray()
     assert condition_number(small_system) == pytest.approx(
         np.linalg.cond(M, 2), rel=1e-10)
     P = build(small_system, pess_cfg(2.0))

@@ -9,7 +9,7 @@ from saddlekit.problems import case_preset, example1
 from saddlekit.spectral import shift_spectrum
 from saddlekit.stationary import (Diverged, convergence_predicate,
                                   pess_iterate, sufficient_s_lower_bound)
-from saddlekit.system import rhs_for_ones, to_dense
+from saddlekit.system import rhs_for_ones
 
 from conftest import iteration_matrix_radius, random_system
 
@@ -152,7 +152,7 @@ def dense_sufficient_bound(sys, cfg):
     Cholesky factor L of Sigma."""
     L = np.linalg.cholesky(sigma_matrix(sys, cfg).toarray())
     Linv = np.linalg.inv(L)
-    M = Linv @ to_dense(sys) @ Linv.T
+    M = Linv @ sys.matrix.toarray() @ Linv.T
     lmin = np.linalg.eigvalsh(M + M.T)[0]
     rho = np.max(np.abs(np.linalg.eigvals(M)))
     return max(0.5 * (1.0 - lmin / rho**2), 0.0)

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from saddlekit.mmio import write_matrix_market
 from saddlekit.problems import example1, load_external
 from saddlekit.system import (BlockVector, SaddlePointSystem, assemble,
-                              operator_apply, rhs_for_ones, to_dense, validate)
+                              operator_apply, rhs_for_ones, validate)
 
 from conftest import random_system
 
@@ -132,9 +132,9 @@ def test_operator_apply_matches_dense(small_system, rng):
     assert np.allclose(operator_apply(small_system, U), M @ U, atol=1e-12)
 
 
-def test_to_dense_matches_oracle(small_system):
-    assert np.allclose(to_dense(small_system), dense_operator(small_system),
-                       atol=0.0)
+def test_matrix_matches_oracle(small_system):
+    assert np.allclose(small_system.matrix.toarray(),
+                       dense_operator(small_system), atol=0.0)
 
 
 def test_rhs_for_ones(small_system):
