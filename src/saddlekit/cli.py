@@ -1,10 +1,11 @@
 """Command-line interface wiring generators, solvers, spectral checks, and
-report writers.
+report writers (JSON for a ``--report`` path ending in ``.json``, else CSV).
 
 Exit codes: 0 success/converged, 1 usage or configuration error (including
 an input that is not SPD, a singular preconditioner, a singular coefficient
 matrix or a failed eigensolve), 2 non-convergence (for ``compare``,
-``sweep-s`` and ``sensitivity``, of any row, error rows included).
+``sweep-s`` and ``sensitivity``, of any row; ``compare`` alone keeps going
+past a kind that fails and records it as an unconverged error row).
 """
 
 from __future__ import annotations
@@ -49,17 +50,21 @@ def _add_solver_args(p):
                         "preconditioned residual as MATLAB's gmres does")
 
 
-def _add_precond_args(p, kinds=PRECOND_KINDS):
-    p.add_argument("--precond", choices=kinds, default="none")
+def _add_case_args(p):
     p.add_argument("--case", choices=["I", "II"], default="I",
                    help="shift preset (I: identity shifts, II: A and C C^T)")
+    p.add_argument("--lambda3-coef", type=float, default=0.001,
+                   help="coefficient of the case preset's third shift "
+                        "(default 0.001)")
+
+
+def _add_precond_args(p):
+    p.add_argument("--precond", choices=PRECOND_KINDS, default="none")
+    _add_case_args(p)
     p.add_argument("--s", type=float, default=12.0)
     p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--gamma", type=float, default=0.001)
-    p.add_argument("--lambda3-coef", type=float, default=0.001,
-                   help="coefficient of the case preset's third shift "
-                        "(default 0.001)")
 
 
 def build_parser():
@@ -73,8 +78,7 @@ def build_parser():
     _add_problem_args(p)
     _add_precond_args(p)
     _add_solver_args(p)
-    p.add_argument("--report", metavar="PATH", help="CSV report path")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
+    p.add_argument("--report", metavar="PATH")
 
     p = sub.add_parser("compare", help="run a list of preconditioners")
     _add_problem_args(p)
@@ -92,7 +96,8 @@ def build_parser():
 
     p = sub.add_parser("sweep-s", help="iteration counts over a range of s")
     _add_problem_args(p)
-    _add_precond_args(p)
+    p.add_argument("--precond", choices=["pess", "lpess"], default="pess")
+    _add_case_args(p)
     _add_solver_args(p)
     p.add_argument("--s-values", required=True,
                    help="comma-separated s values, e.g. 1,2,5,10")
@@ -122,10 +127,19 @@ def build_parser():
     return ap
 
 
+def _comma_list(text, convert, empty_message):
+    items = [convert(t) for t in text.split(",") if t.strip()]
+    if not items:
+        raise CliError(empty_message)
+    return items
+
+
 def _make_system(args):
     if args.gen_l is not None:
         if args.gen_l < 2:
             raise CliError("--gen-l must be at least 2")
+        if args.shift_a:
+            raise CliError("--shift-a applies only to --load")
         return problems.example1(args.gen_l), f"gen-l{args.gen_l}"
     try:
         sys_ = problems.load_external(*args.load, shift_a=args.shift_a)
@@ -204,14 +218,12 @@ def cmd_solve(args):
           f"it={record.it} {_res_fields(record)} "
           f"wall={record.wall_seconds:.3f}s")
     if args.report:
-        mmio.write_report([record], args.format, args.report)
+        mmio.write_report([record], args.report)
     return EXIT_OK if rep.converged else EXIT_NOCONV
 
 
 def cmd_compare(args):
-    kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
-    if not kinds:
-        raise CliError("empty kind list")
+    kinds = _comma_list(args.kinds, str.strip, "empty kind list")
     for k in kinds:
         if k not in PRECOND_KINDS:
             raise CliError(f"unknown preconditioner kind {k!r}")
@@ -229,7 +241,7 @@ def cmd_compare(args):
                                        converged=False)
         records.append(record)
         print(f"{record.process:8s} it={record.it:5d} {_res_fields(record)}")
-    mmio.write_report(records, "csv", args.report)
+    mmio.write_report(records, args.report)
     return _exit_code(records)
 
 
@@ -251,10 +263,8 @@ def cmd_spectrum(args):
 
 
 def cmd_sweep_s(args):
+    s_values = _comma_list(args.s_values, float, "empty s range")
     sys_, pid = _make_system(args)
-    s_values = [float(t) for t in args.s_values.split(",") if t.strip()]
-    if not s_values:
-        raise CliError("empty s range")
     records = []
     for s in s_values:
         args.s = s
@@ -265,13 +275,13 @@ def cmd_sweep_s(args):
         extra = (f" cond={record.params['cond']:.4e}"
                  if args.with_cond else "")
         print(f"s={s:g} it={record.it}{extra}")
-    mmio.write_report(records, "csv", args.report)
+    mmio.write_report(records, args.report)
     return _exit_code(records)
 
 
 def cmd_sensitivity(args):
+    levels = _comma_list(args.noise, float, "empty noise list")
     sys_, pid = _make_system(args)
-    levels = [float(t) for t in args.noise.split(",") if t.strip()]
     base_rep, _, _ = _solve_one(args.precond, sys_, pid, args)
     if not base_rep.converged:
         print("baseline solve did not converge")
@@ -288,11 +298,13 @@ def cmd_sensitivity(args):
         records.append(dataclasses.replace(
             record, process=f"{args.precond}+noise"))
     if args.report:
-        mmio.write_report(records, "csv", args.report)
+        mmio.write_report(records, args.report)
     return _exit_code(records)
 
 
 def cmd_params(args):
+    grid = (None if args.phi_grid is None
+            else _comma_list(args.phi_grid, float, "empty phi grid"))
     sys_, pid = _make_system(args)
     A, _, W = problems.case_operands("II", sys_)
     lam3 = 1e-4 * W
@@ -300,11 +312,11 @@ def cmd_params(args):
     print(f"s_est={est.s_est:.6g} beta_est={est.beta_est:.6g}")
     for k, v in est.norms.items():
         print(f"  {k}={v:.6g}")
-    if args.phi_grid:
+    if grid:
         cfg = problems.case_preset(args.case, sys_, s=1.0)
         smin = params.phi_minimizer(sys_, cfg)
         print(f"phi minimizer s*={smin:.6g}")
-        for s in (float(t) for t in args.phi_grid.split(",") if t.strip()):
+        for s in grid:
             print(f"  phi({s:g}) = {params.phi(sys_, cfg, s):.8e}")
     if args.preset:
         cfg = precond.make_config(args.preset.removesuffix("-II"),

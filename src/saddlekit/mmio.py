@@ -107,18 +107,16 @@ CSV_COLUMNS = ["process", "problem", "size", "it", "res", "wall_seconds",
                "params"]
 
 
-def write_report(records, fmt, path):
-    if fmt == "csv":
-        with open(path, "w", newline="") as fh:
+def write_report(records, path):
+    """JSON when ``path`` ends in ``.json`` (any case), CSV otherwise."""
+    with open(path, "w", newline="") as fh:
+        if str(path).lower().endswith(".json"):
+            json.dump([asdict(r) for r in records], fh, indent=2,
+                      default=_json_scalar)
+        else:
             w = csv.writer(fh)
             w.writerow(CSV_COLUMNS)
             for r in records:
                 w.writerow([r.process, r.problem, r.size, r.it,
                             format_res(r.res), f"{r.wall_seconds:.3f}",
                             _params_str(r.params)])
-    elif fmt == "json":
-        with open(path, "w") as fh:
-            json.dump([asdict(r) for r in records], fh, indent=2,
-                      default=_json_scalar)
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")

@@ -27,6 +27,8 @@ from . import mmio
 from .precond import GssConfig
 from .system import SaddlePointSystem, assemble
 
+NOISE_SCALE = 1e-4  # the noise model's factor on percentage * std(block)
+
 
 def example1(l: int) -> SaddlePointSystem:
     """The Kronecker-structured generated problem of order 4 l^2."""
@@ -82,10 +84,9 @@ def case_preset(case: str, sys: SaddlePointSystem, s: float,
 @dataclass(frozen=True)
 class NoiseSpec:
     """Noise applied to the coupling blocks: the delta entries are
-    scale * percentage * std(block) * standard normal draws."""
+    NOISE_SCALE * percentage * std(block) * standard normal draws."""
 
     percentage: float
-    scale: float = 1e-4
     seed: int = 0
 
     def __post_init__(self):
@@ -94,7 +95,7 @@ class NoiseSpec:
 
 
 def perturb(sys: SaddlePointSystem, noise: NoiseSpec) -> SaddlePointSystem:
-    """B' = B + dB, C' = C + dC with dX = scale * percentage * std(X) * randn;
+    """B' = B + dB, C' = C + dC with dX as ``NoiseSpec`` states;
     std is the population standard deviation over all densified entries and
     the normal draws come from a seeded 64-bit generator, so the result is
     bit-reproducible.  A is unchanged."""
@@ -103,8 +104,8 @@ def perturb(sys: SaddlePointSystem, noise: NoiseSpec) -> SaddlePointSystem:
     rng = np.random.default_rng(noise.seed)
     Bd = sys.B.toarray()
     Cd = sys.C.toarray()
-    dB = noise.scale * noise.percentage * Bd.std() * rng.standard_normal(Bd.shape)
-    dC = noise.scale * noise.percentage * Cd.std() * rng.standard_normal(Cd.shape)
+    dB = NOISE_SCALE * noise.percentage * Bd.std() * rng.standard_normal(Bd.shape)
+    dC = NOISE_SCALE * noise.percentage * Cd.std() * rng.standard_normal(Cd.shape)
     return assemble(sys.A, Bd + dB, Cd + dC)
 
 

@@ -36,6 +36,7 @@ from .system import SaddlePointSystem, require_densifiable
 THETA_TILDE_CONVENTION = "lambda3_inv_C_lambda2_inv_Ct"
 
 CLASSIFY_TOL = 1e-8  # |Im| threshold separating real from non-real
+CLUSTER_TOL = 1e-8  # distance from 1/s that counts toward lpess's cluster
 MEMBERSHIP_SLACK = 1e-6
 MU_GUARD = 1e-12
 
@@ -256,14 +257,14 @@ def lpess_bound_values(extremes: ScalarExtremes, s: float) -> dict:
     }
 
 
-def lpess_bounds(spectrum, extremes: ScalarExtremes, s: float, n: int,
-                 cluster_tol=1e-8) -> BoundReport:
+def lpess_bounds(spectrum, extremes: ScalarExtremes, s: float,
+                 n: int) -> BoundReport:
     """Dropped-shift localization: (a) n eigenvalues clustered at 1/s,
     (b) remaining real eigenvalues in the stated interval, (c) remaining
     non-real eigenvalues in the modulus window and the annulus around 1/s."""
     b = lpess_bound_values(extremes, s)
     lam = np.asarray(spectrum, dtype=np.complex128)
-    at_inv_s = np.abs(lam - 1.0 / s) <= cluster_tol
+    at_inv_s = np.abs(lam - 1.0 / s) <= CLUSTER_TOL
     multiplicity = int(np.count_nonzero(at_inv_s))
     rest = lam[~at_inv_s]
     real = _is_real(rest)
@@ -277,7 +278,7 @@ def lpess_bounds(spectrum, extremes: ScalarExtremes, s: float, n: int,
         "lpess", b, np.where(real, rest.real, rest), margin,
         margin > MEMBERSHIP_SLACK,
         {"s": s, "n": n, "multiplicity": multiplicity,
-         "cluster_tol": cluster_tol,
+         "cluster_tol": CLUSTER_TOL,
          "count_real": int(np.count_nonzero(real)),
          "count_nonreal": int(np.count_nonzero(~real)),
          "theta_tilde_convention": THETA_TILDE_CONVENTION},

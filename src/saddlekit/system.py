@@ -29,18 +29,8 @@ class BlockVector:
     y: np.ndarray
     z: np.ndarray
 
-    @classmethod
-    def from_array(cls, u, n, m, p):
-        u = np.asarray(u, dtype=np.float64)
-        if u.shape[0] != n + m + p:
-            raise ValueError("block vector length mismatch")
-        return cls(u[:n], u[n : n + m], u[n + m :])
-
     def to_array(self):
         return np.concatenate([self.x, self.y, self.z])
-
-    def __len__(self):
-        return self.x.shape[0] + self.y.shape[0] + self.z.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,9 +68,6 @@ class SaddlePointSystem:
         cols = np.concatenate([A.col, n + B.row, B.col, n + m + C.row, n + C.col])
         vals = np.concatenate([A.data, B.data, -B.data, -C.data, C.data])
         return sp.csr_matrix((vals, (rows, cols)), shape=(self.size, self.size))
-
-    def split(self, u):
-        return BlockVector.from_array(u, self.n, self.m, self.p)
 
 
 def _canonical(M) -> sp.csr_matrix:
@@ -143,7 +130,8 @@ def _flat(name, vec, N):
 
 def rhs_for_ones(sys: SaddlePointSystem) -> BlockVector:
     """Right-hand side whose exact solution is the all-ones vector."""
-    return sys.split(sys.matrix @ np.ones(sys.size))
+    d = sys.matrix @ np.ones(sys.size)
+    return BlockVector(*np.split(d, [sys.n, sys.n + sys.m]))
 
 
 def require_densifiable(sys: SaddlePointSystem, order=None):

@@ -82,7 +82,7 @@ def test_solve_pess_with_report(tmp_path, capsys):
 def test_solve_json_report(tmp_path):
     report = tmp_path / "r.json"
     rc = main(["solve", *GEN, "--precond", "lpess", "--case", "II",
-               "--s", "13", "--report", str(report), "--format", "json"])
+               "--s", "13", "--report", str(report)])
     assert rc == EXIT_OK
     payload = json.loads(report.read_text())
     assert payload[0]["process"] == "lpess" and payload[0]["converged"]
@@ -100,6 +100,26 @@ def test_solve_json_report(tmp_path):
     assert isinstance(params["build_seconds"], float)
     assert params["build_seconds"] > 0.0
     assert isinstance(params["factor_nnz"], int) and params["factor_nnz"] > 0
+
+
+@pytest.mark.parametrize("command", [
+    ["compare", "--kinds", "pess,bd"],
+    ["sweep-s", "--precond", "pess", "--s-values", "5,10"],
+    ["sensitivity", "--precond", "pess", "--noise", "5,10"],
+], ids=["compare", "sweep-s", "sensitivity"])
+def test_json_report_from_the_suffix(tmp_path, command):
+    # the same rows as the CSV report, as JSON numbers of their own type
+    csv_path, json_path = tmp_path / "r.csv", tmp_path / "r.json"
+    for path in (csv_path, json_path):
+        assert main([command[0], *GEN, *command[1:],
+                     "--report", str(path)]) == EXIT_OK
+    rows = list(csv.reader(csv_path.read_text().splitlines()))[1:]
+    payload = json.loads(json_path.read_text())
+    assert [r["process"] for r in payload] == [row[0] for row in rows]
+    for r, row in zip(payload, rows):
+        assert type(r["it"]) is int and r["it"] == int(row[3])
+        keys = [kv.split("=", 1)[0] for kv in row[6].split(";")]
+        assert sorted(r["params"]) == keys
 
 
 def test_solve_nonconvergence_exit_code():
@@ -282,6 +302,19 @@ def test_sweep_s_nonconvergence_exit_code(tmp_path):
     assert rc == EXIT_NOCONV
 
 
+@pytest.mark.parametrize("flags", [["--precond", "ss"],
+                                   ["--precond", "pess", "--alpha", "0.2"],
+                                   ["--precond", "lpess", "--s", "3"]],
+                         ids=["ss", "alpha", "s"])
+def test_sweep_s_takes_only_settings_it_reads(tmp_path, flags):
+    # only pess and lpess read s; the sweep sets s itself
+    report = tmp_path / "sweep.csv"
+    rc = main(["sweep-s", *GEN, *flags, "--s-values", "1,5",
+               "--report", str(report)])
+    assert rc == EXIT_USAGE
+    assert not report.exists()
+
+
 def test_sweep_s_empty_range(tmp_path):
     rc = main(["sweep-s", *GEN, "--precond", "pess",
                "--s-values", ",", "--report", str(tmp_path / "x.csv")])
@@ -349,6 +382,16 @@ def test_sensitivity_nonconvergence_exit_code(tmp_path, monkeypatch):
     assert rows[1][0] == "none+noise" and rows[1][3] == "1"
 
 
+@pytest.mark.parametrize("command,message", [
+    (["sensitivity", "--noise", ","], "empty noise list"),
+    (["params", "--phi-grid", ","], "empty phi grid"),
+], ids=["noise", "phi-grid"])
+def test_empty_comma_list_is_a_usage_error(command, message, capsys):
+    assert main([command[0], *GEN, *command[1:]]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
 def test_params_flow(capsys):
     rc = main(["params", *GEN, "--phi-grid", "0.5,1,2"])
     assert rc == EXIT_OK
@@ -376,6 +419,13 @@ def test_params_preset_honours_side(capsys):
         line = capsys.readouterr().out.splitlines()[-1]
         its[side] = int(line.split("it=")[1].split()[0])
     assert its["left"] != its["right"]
+
+
+def test_shift_a_needs_load(capsys):
+    assert main(["solve", *GEN, "--shift-a", "5"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "--load" in err
+    assert err.count("\n") == 1
 
 
 def test_usage_errors(tmp_path):

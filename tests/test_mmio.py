@@ -160,7 +160,7 @@ def records():
 
 def test_write_report_csv(tmp_path):
     path = tmp_path / "r.csv"
-    write_report(records(), "csv", path)
+    write_report(records(), path)
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == CSV_COLUMNS
@@ -172,7 +172,7 @@ def test_write_report_csv(tmp_path):
 
 def test_write_report_json(tmp_path):
     path = tmp_path / "r.json"
-    write_report(records(), "json", path)
+    write_report(records(), path)
     payload = json.loads(path.read_text())
     assert len(payload) == 2
     assert payload[0]["it"] == 3
@@ -190,7 +190,7 @@ def test_write_report_json_keeps_number_types(tmp_path):
     path = tmp_path / "r.json"
     write_report([ReportRecord("lpess", "generated-l3", 36, 3, 8.5e-07,
                                0.000164, params, np.bool_(False))],
-                 "json", path)
+                 path)
     row = json.loads(path.read_text())[0]
     got = row["params"]
     assert got == {"maxit": 7000, "n_matvec": 5, "tol": 1e-6,
@@ -204,6 +204,12 @@ def test_write_report_json_keeps_number_types(tmp_path):
     assert type(row["size"]) is int and type(row["it"]) is int
 
 
-def test_write_report_unknown_format(tmp_path):
-    with pytest.raises(ValueError):
-        write_report(records(), "xml", tmp_path / "r.xml")
+def test_write_report_format_follows_the_suffix(tmp_path):
+    # any case of .json gives JSON; every other suffix, or none, a CSV
+    for name in ("r.JSON", "r.Json"):
+        write_report(records(), tmp_path / name)
+        assert json.loads((tmp_path / name).read_text())[1]["it"] == 120
+    for name in ("r.txt", "r.json.csv", "r"):
+        write_report(records(), tmp_path / name)
+        rows = list(csv.reader((tmp_path / name).read_text().splitlines()))
+        assert rows[0] == CSV_COLUMNS and len(rows) == 3

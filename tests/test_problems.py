@@ -124,9 +124,9 @@ def test_perturb_deterministic_and_linear():
 
 def test_perturb_magnitude():
     sysv = example1(3)
-    noise = NoiseSpec(20.0, scale=1e-4)
+    noise = NoiseSpec(20.0)
     dB = perturb(sysv, noise).B.toarray() - sysv.B.toarray()
-    # entries are scale * percentage * std(B) * N(0,1): tiny vs the block
+    # entries are NOISE_SCALE * pct * std(B) * N(0,1): tiny vs the block
     assert np.abs(dB).max() < 1e-2 * np.abs(sysv.B.toarray()).max()
     assert np.abs(dB).max() > 0
 

@@ -332,7 +332,7 @@ def test_lpess_localization_on_random_systems(seed):
     cfg = lpess_cfg(s)
     spec = preconditioned_spectrum(sysv, build(sysv, cfg))
     ex = scalar_extremes(sysv, cfg)
-    rep = lpess_bounds(spec, ex, s, sysv.n, cluster_tol=1e-6)
+    rep = lpess_bounds(spec, ex, s, sysv.n)
     assert rep.holds, (rep.violations, rep.metadata)
     assert rep.metadata["multiplicity"] >= sysv.n
     assert rep.metadata["theta_tilde_convention"]
@@ -400,10 +400,10 @@ def test_pess_nonreal_planted_violation(pess_case):
 def test_lpess_planted_violations(lpess_case, small_system):
     spec, ex, s = lpess_case
     n = small_system.n
-    assert lpess_bounds(spec, ex, s, n, cluster_tol=1e-6).holds
+    assert lpess_bounds(spec, ex, s, n).holds
     b = lpess_bound_values(ex, s)
     for planted in (b["real_upper"] + 0.05, 2.0 + 2.0j):
-        rep = lpess_bounds(np.r_[spec, planted], ex, s, n, cluster_tol=1e-6)
+        rep = lpess_bounds(np.r_[spec, planted], ex, s, n)
         assert_only_violation(rep, planted)
         assert rep.metadata["multiplicity"] >= n
 
@@ -412,8 +412,7 @@ def test_lpess_cluster_too_small(lpess_case, small_system):
     spec, ex, s = lpess_case
     n = small_system.n
     rest = spec[np.abs(spec - 1.0 / s) > 1e-6]
-    rep = lpess_bounds(np.r_[rest, np.full(n - 1, 1.0 / s)], ex, s, n,
-                       cluster_tol=1e-6)
+    rep = lpess_bounds(np.r_[rest, np.full(n - 1, 1.0 / s)], ex, s, n)
     assert rep.metadata["multiplicity"] == n - 1
     assert not rep.holds and rep.violations == ()
 

@@ -25,21 +25,8 @@ def dense_operator(sys):
     return M
 
 
-def test_block_vector_round_trip(rng):
-    u = rng.standard_normal(10)
-    bv = BlockVector.from_array(u, 5, 3, 2)
-    assert len(bv) == 10
-    assert np.array_equal(bv.to_array(), u)
-    assert np.array_equal(bv.x, u[:5])
-    assert np.array_equal(bv.y, u[5:8])
-    assert np.array_equal(bv.z, u[8:])
-
-
 def test_assemble_shapes(small_system):
     assert small_system.size == small_system.n + small_system.m + small_system.p
-    bv = small_system.split(np.arange(small_system.size, dtype=float))
-    assert bv.x.size == small_system.n
-    assert bv.z.size == small_system.p
 
 
 def test_assemble_canonicalises_blocks(tmp_path):
@@ -140,8 +127,13 @@ def test_matrix_matches_oracle(small_system):
 def test_rhs_for_ones(small_system):
     d = rhs_for_ones(small_system)
     assert isinstance(d, BlockVector)
-    assert np.allclose(d.to_array(),
-                       dense_operator(small_system) @ np.ones(small_system.size))
+    want = dense_operator(small_system) @ np.ones(small_system.size)
+    n, m = small_system.n, small_system.m
+    assert [v.size for v in (d.x, d.y, d.z)] == [n, m, small_system.p]
+    assert np.allclose(d.x, want[:n])
+    assert np.allclose(d.y, want[n:n + m])
+    assert np.allclose(d.z, want[n + m:])
+    assert np.array_equal(d.to_array(), np.r_[d.x, d.y, d.z])
 
 
 def test_validate_full_passes(small_system):
