@@ -123,6 +123,8 @@ def build_parser():
     p.add_argument("--phi-grid", default=None,
                    help="comma-separated s grid for the phi table")
     p.add_argument("--case", choices=["I", "II"], default="II")
+    p.add_argument("--report", metavar="PATH",
+                   help="report of the --preset solve")
 
     return ap
 
@@ -280,20 +282,20 @@ def cmd_sweep_s(args):
 
 
 def cmd_sensitivity(args):
-    levels = _comma_list(args.noise, float, "empty noise list")
+    noises = [problems.NoiseSpec(percentage=pct, seed=args.seed)
+              for pct in _comma_list(args.noise, float, "empty noise list")]
     sys_, pid = _make_system(args)
     base_rep, _, _ = _solve_one(args.precond, sys_, pid, args)
     if not base_rep.converged:
         print("baseline solve did not converge")
         return EXIT_NOCONV
     records = []
-    for np_pct in levels:
-        pert = problems.perturb(
-            sys_, problems.NoiseSpec(percentage=np_pct, seed=args.seed))
+    for noise in noises:
+        pert = problems.perturb(sys_, noise)
         rep, record, _ = _solve_one(args.precond, pert, pid, args)
         err = float(np.linalg.norm(rep.solution - base_rep.solution))
-        print(f"noise={np_pct:g}% error={err:.4e}")
-        record.params.update(noise_pct=np_pct, seed=args.seed,
+        print(f"noise={noise.percentage:g}% error={err:.4e}")
+        record.params.update(noise_pct=noise.percentage, seed=noise.seed,
                              solution_error=err)
         records.append(dataclasses.replace(
             record, process=f"{args.precond}+noise"))
@@ -303,6 +305,8 @@ def cmd_sensitivity(args):
 
 
 def cmd_params(args):
+    if args.report and not args.preset:
+        raise CliError("--report needs --preset")
     grid = (None if args.phi_grid is None
             else _comma_list(args.phi_grid, float, "empty phi grid"))
     sys_, pid = _make_system(args)
@@ -325,6 +329,8 @@ def cmd_params(args):
         _, record = _solve_with(args.preset, precond.build(sys_, cfg), {},
                                 sys_, pid, args)
         print(f"{args.preset} it={record.it} {_res_fields(record)}")
+        if args.report:
+            mmio.write_report([record], args.report)
         return _exit_code([record])
     return EXIT_OK
 

@@ -13,11 +13,14 @@ through Kronecker products:
     B = [ I (x) F,  F (x) I ]                              (l^2  x 2l^2)
     C = E (x) F                                            (l^2  x l^2)
 
-so the assembled saddle matrix has order 4l^2.
+so the assembled saddle matrix has order 4l^2.  ``example1`` writes each
+block straight from its stencil on the l x l grid, row i = a*l + b, and the
+result equals the Kronecker definition above bit for bit.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,23 +33,34 @@ from .system import SaddlePointSystem, assemble
 NOISE_SCALE = 1e-4  # the noise model's factor on percentage * std(block)
 
 
+def _csr(shape, taps) -> sp.csr_matrix:
+    """The CSR matrix with value v at (i, j) for every tap (i, j, v): i and
+    j are index arrays, v a scalar or an array like them."""
+    rows = np.concatenate([i for i, _, _ in taps])
+    cols = np.concatenate([j for _, j, _ in taps])
+    vals = np.concatenate([np.broadcast_to(v, i.shape) for i, _, v in taps])
+    return sp.csr_matrix((vals, (rows, cols)), shape=shape)
+
+
 def example1(l: int) -> SaddlePointSystem:
     """The Kronecker-structured generated problem of order 4 l^2."""
+    l = operator.index(l)
     if l < 2:
         raise ValueError("l must be at least 2")
-    # CSR throughout: scipy's default formats here cost extra conversions
-    G = (l + 1) ** 2 * sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(l, l),
-                                format="csr")
-    F = (l + 1) * sp.diags([0.0, 1.0, -1.0], [-1, 0, 1], shape=(l, l),
-                           format="csr")
-    E = sp.diags(np.arange(l, dtype=np.float64) * l + 1.0, format="csr")
-    I = sp.identity(l, format="csr")
+    n = l * l
+    i = np.arange(n)
+    a, b = np.divmod(i, l)
+    h = l + 1.0
+    # rows with a grid neighbour at (a-1, b), (a, b-1), (a, b+1), (a+1, b)
+    up, left, right, down = i[a > 0], i[b > 0], i[b < l - 1], i[a < l - 1]
 
-    T = sp.kron(I, G, format="csr") + sp.kron(G, I, format="csr")
-    A = sp.block_diag([T, T], format="csr")
-    B = sp.hstack([sp.kron(I, F, format="csr"), sp.kron(F, I, format="csr")],
-                  format="csr")
-    C = sp.kron(E, F, format="csr")
+    T = [(up, up - l, -h * h), (left, left - 1, -h * h), (i, i, 4 * h * h),
+         (right, right + 1, -h * h), (down, down + l, -h * h)]
+    A = _csr((2 * n, 2 * n), T + [(r + n, c + n, v) for r, c, v in T])
+    B = _csr((n, 2 * n), [(i, i, h), (right, right + 1, -h),
+                          (i, n + i, h), (down, n + down + l, -h)])
+    e = a * l + 1.0  # E[a, a], C's factor on grid row a
+    C = _csr((n, n), [(i, i, e * h), (right, right + 1, -e[right] * h)])
     return assemble(A, B, C)
 
 

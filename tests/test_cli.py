@@ -382,6 +382,16 @@ def test_sensitivity_nonconvergence_exit_code(tmp_path, monkeypatch):
     assert rows[1][0] == "none+noise" and rows[1][3] == "1"
 
 
+def test_sensitivity_rejects_a_bad_noise_level_first(capsys):
+    # the noise levels are checked before the system or the
+    # preconditioner (here with a bad s) is built
+    rc = main(["sensitivity", *GEN, "--precond", "pess", "--s", "-1",
+               "--noise=-5"])
+    assert rc == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: percentage must be nonnegative\n"
+
+
 @pytest.mark.parametrize("command,message", [
     (["sensitivity", "--noise", ","], "empty noise list"),
     (["params", "--phi-grid", ","], "empty phi grid"),
@@ -410,6 +420,31 @@ def test_params_preset_solve(capsys):
     rc = main(["params", *GEN, "--preset", "lpess-II", "--tol", "1e-6"])
     assert rc in (EXIT_OK, EXIT_NOCONV)
     assert "lpess-II it=" in capsys.readouterr().out
+
+
+def test_params_preset_json_report(tmp_path, capsys):
+    report = tmp_path / "preset.json"
+    rc = main(["params", *GEN, "--preset", "pess-II",
+               "--report", str(report)])
+    assert rc in (EXIT_OK, EXIT_NOCONV)
+    out = capsys.readouterr().out.splitlines()[-1]
+    [row] = json.loads(report.read_text())
+    assert row["process"] == "pess-II"
+    assert type(row["it"]) is int
+    assert row["it"] == int(printed_field(out, "it"))
+    params = row["params"]
+    assert type(params["n_matvec"]) is int
+    assert type(params["factor_nnz"]) is int and params["factor_nnz"] > 0
+    assert type(params["true_res"]) is float
+    assert type(params["build_seconds"]) is float
+
+
+def test_params_report_needs_preset(tmp_path, capsys):
+    report = tmp_path / "preset.json"
+    assert main(["params", *GEN, "--report", str(report)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: --report needs --preset\n"
+    assert not report.exists()
 
 
 def test_params_preset_honours_side(capsys):

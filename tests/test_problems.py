@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from saddlekit.precond import operand_sparse
 from saddlekit.problems import NoiseSpec, case_preset, example1, perturb
@@ -23,20 +24,24 @@ def test_example1_structure():
     assert rep.ok
 
 
-def test_example1_block_values():
-    l = 3
+@pytest.mark.parametrize("l", [2, 3, 5])
+def test_example1_block_values(l):
+    # exact against the dense Kronecker definition; l = 2 has no interior
+    # grid cell
     sysv = example1(l)
     h2 = (l + 1) ** 2
-    G = h2 * (2 * np.eye(l) - np.eye(l, k=1) - np.eye(l, k=-1))
-    F = (l + 1) * (np.eye(l) - np.eye(l, k=1))
+    I = np.eye(l)
+    G = h2 * (2 * I - np.eye(l, k=1) - np.eye(l, k=-1))
+    F = (l + 1) * (I - np.eye(l, k=1))
     E = np.diag(np.arange(l) * l + 1.0)
-    T = np.kron(np.eye(l), G) + np.kron(G, np.eye(l))
-    import scipy.linalg as sla
-    assert np.allclose(sysv.A.toarray(), sla.block_diag(T, T), atol=0.0)
-    assert np.allclose(sysv.B.toarray(),
-                       np.hstack([np.kron(np.eye(l), F), np.kron(F, np.eye(l))]),
-                       atol=0.0)
-    assert np.allclose(sysv.C.toarray(), np.kron(E, F), atol=0.0)
+    T = np.kron(I, G) + np.kron(G, I)
+    want = {"A": sla.block_diag(T, T),
+            "B": np.hstack([np.kron(I, F), np.kron(F, I)]),
+            "C": np.kron(E, F)}
+    for name, dense in want.items():
+        M = getattr(sysv, name)
+        assert np.array_equal(M.toarray(), dense), name
+        assert M.has_canonical_format and np.all(M.data != 0), name
 
 
 def test_example1_square_nonsingular_c():
@@ -53,8 +58,13 @@ def test_example1_deterministic():
 
 
 def test_example1_rejects_tiny_l():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^l must be at least 2$"):
         example1(1)
+
+
+def test_example1_rejects_non_integer_l():
+    with pytest.raises(TypeError):
+        example1(3.0)
 
 
 def test_case_presets():
