@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
+import os
 import sys as _sys
 
 import numpy as np
@@ -26,6 +28,9 @@ EXIT_USAGE = 1
 EXIT_NOCONV = 2
 
 PRECOND_KINDS = ("none", *precond.KINDS, "bd")
+# example1's peak memory while it builds its blocks, per grid cell (about
+# 890 bytes at every l from 32 to 256)
+GEN_BYTES_PER_CELL = 900
 
 
 class CliError(Exception):
@@ -136,12 +141,26 @@ def _comma_list(text, convert, empty_message):
     return items
 
 
+def _finite_list(text, option, empty_message):
+    """The comma-separated floats of ``option``, each finite."""
+    items = _comma_list(text, float, empty_message)
+    if not all(map(math.isfinite, items)):
+        raise CliError(f"{option} takes finite values, got {text!r}")
+    return items
+
+
 def _make_system(args):
     if args.gen_l is not None:
         if args.gen_l < 2:
             raise CliError("--gen-l must be at least 2")
         if args.shift_a:
             raise CliError("--shift-a applies only to --load")
+        need = GEN_BYTES_PER_CELL * args.gen_l ** 2
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if need > have:
+            raise CliError(f"--gen-l {args.gen_l} needs about "
+                           f"{need / 2**30:.3g} GiB to build its blocks, "
+                           f"more than this machine's {have / 2**30:.3g} GiB")
         return problems.example1(args.gen_l), f"gen-l{args.gen_l}"
     try:
         sys_ = problems.load_external(*args.load, shift_a=args.shift_a)
@@ -265,7 +284,7 @@ def cmd_spectrum(args):
 
 
 def cmd_sweep_s(args):
-    s_values = _comma_list(args.s_values, float, "empty s range")
+    s_values = _finite_list(args.s_values, "--s-values", "empty s range")
     sys_, pid = _make_system(args)
     records = []
     for s in s_values:
@@ -283,7 +302,8 @@ def cmd_sweep_s(args):
 
 def cmd_sensitivity(args):
     noises = [problems.NoiseSpec(percentage=pct, seed=args.seed)
-              for pct in _comma_list(args.noise, float, "empty noise list")]
+              for pct in _finite_list(args.noise, "--noise",
+                                      "empty noise list")]
     sys_, pid = _make_system(args)
     base_rep, _, _ = _solve_one(args.precond, sys_, pid, args)
     if not base_rep.converged:
@@ -308,7 +328,7 @@ def cmd_params(args):
     if args.report and not args.preset:
         raise CliError("--report needs --preset")
     grid = (None if args.phi_grid is None
-            else _comma_list(args.phi_grid, float, "empty phi grid"))
+            else _finite_list(args.phi_grid, "--phi-grid", "empty phi grid"))
     sys_, pid = _make_system(args)
     A, _, W = problems.case_operands("II", sys_)
     lam3 = 1e-4 * W

@@ -24,13 +24,17 @@ have read without one.  Each step monitors the least-squares residual
 sides differ in what it measures and in when a solve counts as converged,
 matching the two conventions found in published tables:
 
-* right (default): solve A P^{-1} v = d, u = P^{-1} v.  The solver monitors
-  the least-squares residual and stops only on a confirmed true residual:
-  once the monitored value drops below the tolerance it assembles u and
-  computes ||A u - d|| / ||d||, and if that is not below the tolerance too
-  it keeps iterating, unless the monitored value is at rounding level
-  (<= ``BREAKDOWN``): later steps cannot move the iterate, so it stops
-  unconverged.
+* right (default): solve A P^{-1} v = d, u = P^{-1} v, as flexible GMRES
+  (Saad, SIAM J. Sci. Comput. 14(2), 1993).  With a preconditioner the
+  solver keeps z_j = P^{-1} v_j, which step j's apply makes anyway; when
+  the second pass finishes v_j, z_j gets the same correction, so A z_j is
+  Arnoldi column j whatever P each apply used, and u = x0 + Z y takes no
+  further apply.  The solver monitors the least-squares residual and stops
+  only on a confirmed true residual: once the monitored value drops below
+  the tolerance it assembles u and computes ||A u - d|| / ||d||, and if
+  that is not below the tolerance too it keeps iterating, unless the
+  monitored value is at rounding level (<= ``BREAKDOWN``): later steps
+  cannot move the iterate, so it stops unconverged.
 
 * left: solve P^{-1} A u = P^{-1} d.  The monitored residual is the
   PRECONDITIONED relative residual ||P^{-1}(A u - d)|| / ||P^{-1} d||,
@@ -41,23 +45,27 @@ matching the two conventions found in published tables:
 ||A u - d|| / ||d|| of the returned iterate.  The iteration count is the
 number of Arnoldi steps taken; ``n_matvec`` and ``n_precond`` count the
 operator and preconditioner applies the solve made, residual checks
-included.  ``phase_seconds`` splits the solve's time over ``PHASES``:
-operator applies, preconditioner applies (0 without a preconditioner),
-orthogonalization with the Givens update, and the residual confirms, each
-of which assembles an iterate and makes its own applies.  The phases sum to
-at most ``wall_seconds``.
+included.  Each step makes one of each, and each confirm one operator
+apply; from the zero start r0 is d and costs none, so a solve from zero
+that confirms once makes iterations + 1 operator applies, and a right
+solve makes iterations preconditioner applies.  ``phase_seconds`` splits
+the solve's time over ``PHASES``: operator applies, preconditioner applies
+(0 without a preconditioner), orthogonalization with the Givens update,
+and the residual confirms, each of which assembles an iterate and applies
+the operator to it.  The phases sum to at most ``wall_seconds``.
 
-The basis and the Hessenberg matrix are allocated in ``BASIS_BLOCK``-row
-blocks as the basis grows, never sized from ``maxit`` and never copied.  A
-basis block holds BASIS_BLOCK vectors plus one spare row, so that the
-vector being finished and the new one are always adjacent rows of one
-block: the first vector of the next block is made in the spare row, and
-the next block starts from a copy of it, one row per block.  Hessenberg
-block b holds Arnoldi columns as rows, cut to the BASIS_BLOCK * (b + 1) + 1
-entries they can fill, which is about half of the square.  A solve of k
-steps holds about 8 k N bytes of basis and 4 k^2 of Hessenberg blocks;
-assembling an iterate adds one block column of R, at most
-8 BASIS_BLOCK (k + 1) bytes.
+The basis, the z_j and the Hessenberg matrix are allocated in
+``BASIS_BLOCK``-row blocks as the basis grows, never sized from ``maxit``
+and never copied.  A basis block holds BASIS_BLOCK vectors plus one spare
+row, so that the vector being finished and the new one are always adjacent
+rows of one block: the first vector of the next block is made in the spare
+row, and the next block starts from a copy of it, one row per block.  A
+block of Z needs no spare row.  Hessenberg block b holds Arnoldi columns as
+rows, cut to the BASIS_BLOCK * (b + 1) + 1 entries they can fill, which is
+about half of the square.  A solve of k steps holds about 8 k N bytes of
+basis (16 k N for a right solve with a preconditioner, Z included) and
+4 k^2 of Hessenberg blocks; assembling an iterate adds one block column of
+R, at most 8 BASIS_BLOCK (k + 1) bytes.
 """
 
 from __future__ import annotations
@@ -151,9 +159,9 @@ def gmres(sys: SaddlePointSystem, d, precond=None, tol=1e-6, maxit=7000,
                            n_matvec, n_precond, phases)
 
     nd = float(np.linalg.norm(d)) or 1.0
-    r0 = d - operator_apply(sys, x0)
+    r0 = d if zero_start else d - operator_apply(sys, x0)  # A 0 = 0
     lap("operator_apply")
-    n_matvec, n_apply = 1, 0
+    n_matvec, n_apply = int(not zero_start), 0
     true_res = float(np.linalg.norm(r0) / nd)
     if not right:  # from zero, r0 = d - A 0 is d: apply P^-1 to it once
         pd = apply_p(d)
@@ -168,8 +176,10 @@ def gmres(sys: SaddlePointSystem, d, precond=None, tol=1e-6, maxit=7000,
 
     maxit = min(maxit, N)
     # basis vector and Arnoldi column j are row j % BASIS_BLOCK of block
-    # j // BASIS_BLOCK of V and of H (basis blocks have a spare last row)
-    V, H = [], []
+    # j // BASIS_BLOCK of V and of H (basis blocks have a spare last row);
+    # a flexible solve keeps P^-1 v_j in the same row of Z
+    flexible = right and precond is not None
+    V, H, Z = [], [], []
     xi = np.zeros(maxit + 1)  # rotated diagonal of column k: xi @ column k
     xi[0] = 1.0
     cs, sn = [], []
@@ -220,7 +230,7 @@ def gmres(sys: SaddlePointSystem, d, precond=None, tol=1e-6, maxit=7000,
         return nu, history[-1], breakdown
 
     def left_product(y, blocks, k, width):
-        """y @ M[:k, :width] for the blocked V or H as M.  The block that
+        """y @ M[:k, :width] for the blocked V, H or Z as M.  The block that
         holds row k-1 is the widest, so its product starts the sum."""
         j0 = (k - 1) // BASIS_BLOCK * BASIS_BLOCK
         out = y[j0:k] @ blocks[j0 // BASIS_BLOCK][:k - j0, :width]
@@ -253,25 +263,26 @@ def gmres(sys: SaddlePointSystem, d, precond=None, tol=1e-6, maxit=7000,
         unconverged at breakdown, or once the monitored residual is at
         rounding level (<= BREAKDOWN): the least-squares problem is then
         solved, and later steps cannot move the iterate."""
-        nonlocal n_matvec, n_apply
+        nonlocal n_matvec
         lap("orthogonalize")
         y = np.array(g[:k])  # R y = g, the last block column of R first
         for j0, Hb in reversed(list(leading(H, k))):
             solve_block(y, j0, Hb)
-        corr = left_product(y, V, k, N)
-        u = x0 + (apply_p(corr) if right else corr)
+        u = x0 + left_product(y, Z if flexible else V, k, N)
         n_matvec += 1
-        n_apply += right
         tr = true_residual(sys, u, d)
         converged = res < tol and (not right or tr < tol)
         lap("confirm")
         return u, tr, converged, converged or breakdown or res <= BREAKDOWN
 
-    def op(vec):
-        """Op(vec) on the solve's side, its two applies timed apart."""
+    def op(vec, z):
+        """Op(vec) on the solve's side, its two applies timed apart; a
+        flexible solve keeps P^-1 vec in the row z."""
         lap("orthogonalize")
         if right:
             vec = apply_p(vec)
+            if flexible:
+                z[:] = vec
             lap("precond_apply")
         vec = operator_apply(sys, vec)
         lap("operator_apply")
@@ -290,9 +301,12 @@ def gmres(sys: SaddlePointSystem, d, precond=None, tol=1e-6, maxit=7000,
             V.append(np.empty((BASIS_BLOCK + 1, N)))
             V[-1][0] = V[-2][BASIS_BLOCK] if k else r0 / beta
             H.append(np.zeros((BASIS_BLOCK, k + BASIS_BLOCK + 1)))
+            if flexible:
+                Z.append(np.empty((BASIS_BLOCK, N)))
         X = V[-1][i:i + 2]
         v, w, col = X[0], X[1], H[-1][i]
-        w[:] = op(v)
+        zk = Z[-1][i] if flexible else None
+        w[:] = op(v, zk)
         n_matvec += 1
         n_apply += 1
         if pending:
@@ -306,6 +320,9 @@ def gmres(sys: SaddlePointSystem, d, precond=None, tol=1e-6, maxit=7000,
                 x, true_res, converged, stop = confirm(it, res, breakdown)
                 if stop:
                     break
+            if flexible:  # so that A z_k is the column restored below
+                zk -= left_product(s, Z, k, N)
+                zk /= nu
             t = float(v @ w)
             col[:k] = (z - left_product(s, H, k, k)) / nu
             col[k] = (t - column(k - 1)[k] * s[-1]) / nu

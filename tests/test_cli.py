@@ -88,9 +88,10 @@ def test_solve_json_report(tmp_path):
     assert payload[0]["process"] == "lpess" and payload[0]["converged"]
     params = payload[0]["params"]
     assert params["true_res"] < 1e-6
-    # one apply of each per step, plus r0 and the confirming residual
-    assert (params["n_matvec"], params["n_precond"]) == (payload[0]["it"] + 2,
-                                                         payload[0]["it"] + 1)
+    # one apply of each per step, plus the confirming residual; from zero,
+    # r0 is d, and the iterate is built from the kept P^-1 of the basis
+    assert (params["n_matvec"], params["n_precond"]) == (payload[0]["it"] + 1,
+                                                         payload[0]["it"])
     phases = [params[f"{k}_s"] for k in PHASES]
     assert all(isinstance(t, float) and t >= 0.0 for t in phases)
     # JSON keeps every float exact, so only the sum's rounding is allowed
@@ -142,7 +143,7 @@ def test_compare_flow(tmp_path, capsys):
     assert [r[0] for r in rows[1:]] == ["ss", "rss", "pess", "bd"]
     for row in rows[1:]:
         params = dict(kv.split("=", 1) for kv in row[6].split(";"))
-        assert int(params["n_matvec"]) == int(row[3]) + 2
+        assert int(params["n_matvec"]) == int(row[3]) + 1
         assert all(float(params[f"{k}_s"]) >= 0.0 for k in PHASES)
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 4
@@ -400,6 +401,29 @@ def test_empty_comma_list_is_a_usage_error(command, message, capsys):
     assert main([command[0], *GEN, *command[1:]]) == EXIT_USAGE
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command,option", [
+    (["sensitivity", "--precond", "pess", "--noise", "5,nan"], "--noise"),
+    (["params", "--phi-grid", "nan"], "--phi-grid"),
+    (["sweep-s", "--s-values", "1,inf", "--report", "r.csv"], "--s-values"),
+], ids=["noise", "phi-grid", "s-values"])
+def test_non_finite_list_value_is_a_usage_error(command, option, capsys,
+                                                tmp_path, monkeypatch):
+    # refused before anything is built, naming the option
+    monkeypatch.chdir(tmp_path)
+    assert main([command[0], *GEN, *command[1:]]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {option} takes finite")
+    assert err.count("\n") == 1
+
+
+def test_gen_l_beyond_memory_is_refused(capsys):
+    # refused before the blocks are allocated: one line, no traceback
+    assert main(["solve", "--gen-l", "100000"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: --gen-l 100000 needs about")
+    assert err.count("\n") == 1
 
 
 def test_params_flow(capsys):

@@ -10,7 +10,7 @@ from scipy.linalg import lstsq
 
 from saddlekit.gmres import (BASIS_BLOCK, BREAKDOWN, PHASES, gmres,
                              true_residual)
-from saddlekit.precond import build, make_config
+from saddlekit.precond import build, build_bd, make_config
 from saddlekit.problems import case_preset, example1
 from saddlekit.system import rhs_for_ones
 
@@ -21,14 +21,15 @@ from conftest import random_system
 gmres_mod = importlib.import_module("saddlekit.gmres")
 
 
-def count_operator_applies(monkeypatch):
-    """Wrap the solver's operator apply; returns the list it appends to."""
+def count_operator_applies(monkeypatch, drift=0.0):
+    """Wrap the solver's operator apply, call k scaled by 1 + drift * k;
+    returns the list it appends to."""
     calls = []
     real = gmres_mod.operator_apply
 
     def counting(sys_, u):
         calls.append(1)
-        return real(sys_, u)
+        return real(sys_, u) * (1.0 + drift * len(calls))
 
     monkeypatch.setattr(gmres_mod, "operator_apply", counting)
     return calls
@@ -68,35 +69,34 @@ def test_right_preconditioned_true_residual(small_system):
 
 def test_right_side_converges_only_on_true_residual(small_system,
                                                     monkeypatch):
-    # a preconditioner that drifts with every call: the Arnoldi columns and
-    # the assembled iterate see different P, so the monitored residual drops
-    # below tol while the true residual of the iterate does not
+    # an operator that drifts with every call: the Arnoldi columns and the
+    # confirms see different A, so the monitored residual drops below tol
+    # while the true residual of the iterate does not
     P = build(small_system, make_config("pess", lambda1=1.0, lambda2=1.0,
                                         lambda3=0.001, s=2.0))
-    ops = count_operator_applies(monkeypatch)
+    ops = count_operator_applies(monkeypatch, drift=0.01)
     calls = []
 
-    def drifting(r):
+    def counting(r):
         calls.append(1)
-        return P(r) * (1.0 + 0.01 * len(calls))
+        return P(r)
 
     tol = 1e-8
-    rep = gmres(small_system, rhs_for_ones(small_system), precond=drifting,
+    rep = gmres(small_system, rhs_for_ones(small_system), precond=counting,
                 tol=tol, side="right")
     assert np.any(rep.res_history < tol)
-    assert not (rep.converged and rep.true_final_res >= tol)
+    assert not rep.converged and rep.true_final_res >= tol
     # every iterate checked on the way is counted, the continuation included
     assert (rep.n_matvec, rep.n_precond) == (len(ops), len(calls))
+    assert rep.n_matvec > rep.iterations + 1
 
 
-def test_right_side_stops_on_stalled_confirm(monkeypatch):
-    # the drifting preconditioner again, on the paper's problem: the
-    # monitored residual falls toward 0 while the true residual stays put;
-    # the solve stops at the first failed confirm at rounding level instead
-    # of confirming every further step
+def test_right_side_flexible_under_drifting_preconditioner():
+    # the iterate is built from the kept P^-1 v_j, so A u matches the
+    # Arnoldi columns whatever P each apply used: the monitored and the true
+    # residual agree, and the drifting P converges
     sysv = example1(4)
     P = build(sysv, case_preset("II", sysv, 12.0))
-    ops = count_operator_applies(monkeypatch)
     calls = []
 
     def drifting(r):
@@ -104,6 +104,26 @@ def test_right_side_stops_on_stalled_confirm(monkeypatch):
         return P(r) * (1.0 + 0.01 * len(calls))
 
     rep = gmres(sysv, rhs_for_ones(sysv), precond=drifting, tol=1e-8)
+    assert rep.converged and rep.true_final_res < 1e-8
+    assert rep.n_precond == len(calls) == rep.iterations
+
+
+def test_right_side_stops_on_stalled_confirm(monkeypatch):
+    # an operator that drifts with every call, on the paper's problem: the
+    # Arnoldi columns and the confirm see different A, so the monitored
+    # residual falls toward 0 while the true residual stays put; the solve
+    # stops at the first failed confirm at rounding level instead of
+    # confirming every further step
+    sysv = example1(4)
+    P = build(sysv, case_preset("II", sysv, 12.0))
+    ops = count_operator_applies(monkeypatch, drift=0.01)
+    calls = []
+
+    def counting(r):
+        calls.append(1)
+        return P(r)
+
+    rep = gmres(sysv, rhs_for_ones(sysv), precond=counting, tol=1e-8)
     assert not rep.converged and rep.true_final_res >= 1e-8
     # the last monitored residual is the first at rounding level
     assert np.flatnonzero(rep.res_history <= BREAKDOWN).tolist() == [
@@ -134,13 +154,15 @@ def test_apply_counts_match_counting_wrappers(small_system, monkeypatch,
                 tol=1e-10, side=side)
     assert rep.converged
     assert (rep.n_matvec, rep.n_precond) == (len(ops), len(calls))
-    # one apply per step plus r0 and the one confirming residual: the
-    # delayed second Gram-Schmidt pass costs no apply
-    assert rep.n_matvec == rep.iterations + 2
+    # one apply per step plus the one confirming residual: from zero, r0
+    # is d, and the delayed second Gram-Schmidt pass costs no apply
+    assert rep.n_matvec == rep.iterations + 1
     if P is None:
         assert rep.n_precond == 0
-    else:  # right: the iterate's P^-1; left: P^-1 of d, which from the
-        # zero start is r0 as well, so one apply serves both
+    elif side == "right":  # the iterate is built from the kept P^-1 v_j
+        assert rep.n_precond == rep.iterations
+    else:  # left: P^-1 of d, which from the zero start is r0 as well, so
+        # one apply serves both
         assert rep.n_precond == rep.iterations + 1
 
 
@@ -392,3 +414,13 @@ def test_failed_confirm_across_blocks(monkeypatch):
     ref = reference_history(sysv, d, None, "right", rep.iterations)
     np.testing.assert_allclose(rep.res_history, ref, rtol=1e-8, atol=0)
     assert rep.true_final_res == true_residual(sysv, rep.solution, d) < 1e-6
+
+
+def test_bd_right_converges_at_l48():
+    # bd on the right at l=48: the monitored residual reaches rounding
+    # level within a few steps, and the iterate built from the kept
+    # P^-1 v_j has a true residual below tol too
+    sysv = example1(48)
+    rep = gmres(sysv, rhs_for_ones(sysv), precond=build_bd(sysv).apply)
+    assert rep.converged and rep.true_final_res < 1e-6
+    assert rep.n_precond == rep.iterations
