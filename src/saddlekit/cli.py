@@ -3,9 +3,10 @@ report writers (JSON for a ``--report`` path ending in ``.json``, else CSV).
 
 Exit codes: 0 success/converged, 1 usage or configuration error (including
 an input that is not SPD, a singular preconditioner, a singular coefficient
-matrix or a failed eigensolve), 2 non-convergence (for ``compare``,
-``sweep-s`` and ``sensitivity``, of any row; ``compare`` alone keeps going
-past a kind that fails and records it as an unconverged error row).
+matrix, a failed eigensolve or a ``sensitivity`` system above the
+densification guard), 2 non-convergence (for ``compare``, ``sweep-s`` and
+``sensitivity``, of any row; ``compare`` alone keeps going past a kind that
+fails and records it as an unconverged error row).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from . import mmio, params, precond, problems, spectral
 from .dense import ConvergenceFailure, NotPositiveDefinite, Singular
 from .gmres import gmres
-from .system import rhs_for_ones
+from .system import require_densifiable, rhs_for_ones
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -305,6 +306,7 @@ def cmd_sensitivity(args):
               for pct in _finite_list(args.noise, "--noise",
                                       "empty noise list")]
     sys_, pid = _make_system(args)
+    require_densifiable(sys_)  # perturb densifies B and C
     base_rep, _, _ = _solve_one(args.precond, sys_, pid, args)
     if not base_rep.converged:
         print("baseline solve did not converge")

@@ -108,13 +108,11 @@ class SolveReport:
 
 
 def true_residual(sys: SaddlePointSystem, u, d) -> float:
-    """||A u - d||_2 / ||d||_2 on the flat vectors."""
+    """||A u - d||_2 / ||d||_2 on the flat vectors (||A u||_2 for d = 0)."""
     u = u.to_array() if isinstance(u, BlockVector) else np.asarray(u)
     d = d.to_array() if isinstance(d, BlockVector) else np.asarray(d)
-    nd = np.linalg.norm(d)
-    if nd == 0.0:
-        return float(np.linalg.norm(operator_apply(sys, u)))
-    return float(np.linalg.norm(operator_apply(sys, u) - d) / nd)
+    r = np.linalg.norm(operator_apply(sys, u) - d)
+    return float(r / (np.linalg.norm(d) or 1.0))
 
 
 def gmres(sys: SaddlePointSystem, d, precond=None, tol=1e-6, maxit=7000,

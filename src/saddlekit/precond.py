@@ -224,33 +224,22 @@ def schur(X, solve) -> np.ndarray:
     return solve_columns(lambda R: X @ solve(R), X.T)
 
 
-def coefficient_lu(sys: SaddlePointSystem):
-    """Sparse LU of the coefficient matrix; ``Singular`` if it is singular."""
-    try:
-        return splu(sys.matrix.tocsc())
-    except RuntimeError as exc:
-        raise Singular(f"coefficient matrix is singular: {exc}") from exc
-
-
 @dataclass(frozen=True)
 class BdPreconditioner:
-    """diag(A, S, X), S = B A^{-1} B^T and X = C S^{-1} C^T: A through its
-    sparse factor, S through its dense Cholesky factor, checked once when
-    made, and X, never formed, through Amat's sparse LU: X^{-1} r3 is block 3
-    of Amat^{-1} [0; 0; r3], since the block L D L^T of diag(I, -I, I) Amat
-    has the pivots A, -S and X (Benzi, Golub & Liesen, Acta Numerica 2005)."""
+    """diag(A, S, X), S = B A^{-1} B^T, X = C S^{-1} C^T: A by ``sys.a_lu``,
+    S by its dense Cholesky factor, checked once when made, and X, never
+    formed, by ``sys.matrix_lu``: X^{-1} r3 is block 3 of Amat^{-1} [0; 0;
+    r3], as the block L D L^T of diag(I, -I, I) Amat has the pivots A, -S
+    and X (Benzi, Golub & Liesen, Acta Numerica 2005)."""
 
-    A: sp.csr_matrix
-    C: sp.csr_matrix
-    a_lu: object  # scipy.sparse.linalg.SuperLU of A, from require_spd
+    sys: SaddlePointSystem
     s_factor: CholeskyFactor
-    lu: object  # scipy.sparse.linalg.SuperLU of Amat, from coefficient_lu
     build_seconds: float  # wall time of ``build_bd``
 
     def _split(self, r):
         """A's, S's and X's blocks of r."""
-        cuts = np.cumsum([self.A.shape[0], len(self.s_factor.lower)])
-        return np.split(np.asarray(r, dtype=np.float64), cuts)
+        n, m = self.sys.n, self.sys.m
+        return np.split(np.asarray(r, dtype=np.float64), [n, n + m])
 
     def _solve_s(self, rhs):
         """S^{-1} rhs for one or more columns from S's lower factor."""
@@ -266,15 +255,15 @@ class BdPreconditioner:
             raise ValueError("right-hand side has non-finite entries")
         rhs = np.zeros(np.shape(r), order="F")  # [0; 0; rx], p >= 1 rows
         rhs[-len(rx):] = rx
-        return np.concatenate([self.a_lu.solve(ra), self._solve_s(rs),
-                               self.lu.solve(rhs)[-len(rx):]])
+        return np.concatenate([self.sys.a_lu.solve(ra), self._solve_s(rs),
+                               self.sys.matrix_lu.solve(rhs)[-len(rx):]])
 
     def matvec(self, x):
         """P x: A x1, L L^T x2 from S's factor and C S^{-1} C^T x3."""
         xa, xs, xx = self._split(x)
-        L = self.s_factor.lower
-        return np.concatenate([self.A @ xa, L @ (L.T @ xs),
-                               self.C @ self._solve_s(self.C.T @ xx)])
+        A, C, L = self.sys.A, self.sys.C, self.s_factor.lower
+        return np.concatenate([A @ xa, L @ (L.T @ xs),
+                               C @ self._solve_s(C.T @ xx)])
 
     __call__ = apply
     # every block is symmetric, so P^T = P
@@ -284,8 +273,8 @@ class BdPreconditioner:
     def factor_nnz(self):
         """Factor entries: those SuperLU stores for A and for Amat
         (``nnz``) plus the lower triangle of S's factor."""
-        m = len(self.s_factor.lower)
-        return self.a_lu.nnz + self.lu.nnz + m * (m + 1) // 2
+        m = self.sys.m
+        return self.sys.a_lu.nnz + self.sys.matrix_lu.nnz + m * (m + 1) // 2
 
 
 def build_bd(sys: SaddlePointSystem) -> BdPreconditioner:
@@ -296,17 +285,15 @@ def build_bd(sys: SaddlePointSystem) -> BdPreconditioner:
     det Amat = det A det S det X and X is semidefinite, so a singular Amat
     means X is not positive definite."""
     t0 = perf_counter()
-    a_lu = require_spd(sys.A, "A")
     what = "S = B A^-1 B^T"
     try:
         s_factor = CholeskyFactor(sla.cholesky(
-            schur(sys.B, a_lu.solve), lower=True, overwrite_a=True))
+            schur(sys.B, sys.a_lu.solve), lower=True, overwrite_a=True))
         what = "X = C S^-1 C^T"
-        lu = coefficient_lu(sys)
+        sys.matrix_lu  # made now, so that a singular Amat fails the build
     except (sla.LinAlgError, Singular) as exc:
         raise NotPositiveDefinite(f"{what} is not positive definite") from exc
-    return BdPreconditioner(sys.A, sys.C, a_lu, s_factor, lu,
-                            perf_counter() - t0)
+    return BdPreconditioner(sys, s_factor, perf_counter() - t0)
 
 
 # -- splitting identity -------------------------------------------------

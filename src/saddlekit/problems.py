@@ -28,7 +28,7 @@ import scipy.sparse as sp
 
 from . import mmio
 from .precond import GssConfig
-from .system import SaddlePointSystem, assemble
+from .system import SaddlePointSystem, assemble, require_densifiable
 
 NOISE_SCALE = 1e-4  # the noise model's factor on percentage * std(block)
 
@@ -109,12 +109,13 @@ class NoiseSpec:
 
 
 def perturb(sys: SaddlePointSystem, noise: NoiseSpec) -> SaddlePointSystem:
-    """B' = B + dB, C' = C + dC with dX as ``NoiseSpec`` states;
-    std is the population standard deviation over all densified entries and
-    the normal draws come from a seeded 64-bit generator, so the result is
-    bit-reproducible.  A is unchanged."""
+    """B' = B + dB, C' = C + dC with dX as ``NoiseSpec`` states; std is the
+    population standard deviation over all densified entries (so a system
+    above the densification guard is refused), and seeded 64-bit normal
+    draws make the result bit-reproducible.  A is unchanged."""
     if noise.percentage == 0.0:
         return sys
+    require_densifiable(sys)
     rng = np.random.default_rng(noise.seed)
     Bd = sys.B.toarray()
     Cd = sys.C.toarray()

@@ -29,8 +29,8 @@ import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from .dense import ConvergenceFailure, norm2, require_spd
-from .precond import (GssConfig, coefficient_lu, operand_sparse, schur,
-                      sigma_matrix, solve_columns)
+from .precond import (GssConfig, operand_sparse, schur, sigma_matrix,
+                      solve_columns)
 from .system import SaddlePointSystem, require_densifiable
 
 THETA_TILDE_CONVENTION = "lambda3_inv_C_lambda2_inv_Ct"
@@ -82,14 +82,14 @@ def preconditioned_spectrum(sys: SaddlePointSystem, precond=None) -> np.ndarray:
 
 
 def shift_spectrum(sys: SaddlePointSystem, cfg: GssConfig) -> np.ndarray:
-    """nu = eig(A^{-1} Sigma) from ``solve_columns`` around A's LU, so that
-    eig(P^{-1} A) = 1/(s + nu) and eig(Sigma^{-1} A) = 1/nu.  A dropped L1
-    zeroes n columns, so n zeros nu are left out and eig runs on the
-    (m+p) block, the order the guard reads; a LAPACK failure becomes
-    ``ConvergenceFailure``."""
+    """nu = eig(A^{-1} Sigma) from ``solve_columns`` around the system's
+    ``matrix_lu``, so that eig(P^{-1} A) = 1/(s + nu) and eig(Sigma^{-1} A)
+    = 1/nu.  A dropped L1 zeroes n columns, so n zeros nu are left out and
+    eig runs on the (m+p) block, the order the guard reads; a LAPACK
+    failure becomes ``ConvergenceFailure``."""
     k = 0 if cfg.is_pess else sys.n
     require_densifiable(sys, sys.size - k)
-    lu = coefficient_lu(sys)
+    lu = sys.matrix_lu
     M = solve_columns(lambda R: lu.solve(R)[k:], sigma_matrix(sys, cfg)[:, k:])
     try:
         return sla.eigvals(M, overwrite_a=True)
@@ -124,7 +124,7 @@ def scalar_extremes(sys: SaddlePointSystem, cfg: GssConfig) -> ScalarExtremes:
         eta_min, eta_max = _pencil_extremes(schur(sys.B, lam1_lu.solve), lam2)
 
     vartheta_min, vartheta_max = _pencil_extremes(
-        schur(sys.B, require_spd(sys.A, "A").solve), lam2)
+        schur(sys.B, sys.a_lu.solve), lam2)
     theta_tilde_min, theta_tilde_max = _pencil_extremes(
         schur(sys.C, lam2_lu.solve), lam3)
 
@@ -313,9 +313,9 @@ def analyze(sys: SaddlePointSystem, P=None):
 def condition_number(sys: SaddlePointSystem, precond=None) -> float:
     """Two-norm condition number sigma_max(M) sigma_max(M^{-1}) of
     M = P^{-1} A, or of A itself without ``precond``.  Both singular values
-    come from ARPACK on sparse operators around one sparse LU of A, so
-    nothing is densified and no size limit applies."""
-    A, P, lu = sys.matrix, precond, coefficient_lu(sys)
+    come from ARPACK on sparse operators around the system's ``matrix_lu``,
+    so nothing is densified and no size limit applies."""
+    A, P, lu = sys.matrix, precond, sys.matrix_lu
 
     def op(matvec, rmatvec):
         return spla.LinearOperator(A.shape, matvec=matvec, rmatvec=rmatvec,

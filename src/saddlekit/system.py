@@ -17,8 +17,9 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
-from .dense import NotPositiveDefinite, require_spd
+from .dense import NotPositiveDefinite, Singular, require_spd
 
 DENSIFY_LIMIT = 5000
 
@@ -35,7 +36,9 @@ class BlockVector:
 
 @dataclass(frozen=True, eq=False)
 class SaddlePointSystem:
-    """Blocks A, B, C as canonical float64 CSR matrices (see ``assemble``)."""
+    """Blocks A, B, C as canonical float64 CSR matrices (see ``assemble``).
+    ``matrix`` and the two factors are made when first read and kept as
+    long as the system."""
 
     A: sp.csr_matrix
     B: sp.csr_matrix
@@ -68,6 +71,19 @@ class SaddlePointSystem:
         cols = np.concatenate([A.col, n + B.row, B.col, n + m + C.row, n + C.col])
         vals = np.concatenate([A.data, B.data, -B.data, -C.data, C.data])
         return sp.csr_matrix((vals, (rows, cols)), shape=(self.size, self.size))
+
+    @cached_property
+    def a_lu(self):
+        """A's L D L^T factor from ``require_spd``, its SPD check."""
+        return require_spd(self.A, "A")
+
+    @cached_property
+    def matrix_lu(self):
+        """Sparse LU of the coefficient matrix; ``Singular`` if singular."""
+        try:
+            return splu(self.matrix.tocsc())
+        except RuntimeError as exc:
+            raise Singular(f"coefficient matrix is singular: {exc}") from exc
 
 
 def _canonical(M) -> sp.csr_matrix:
@@ -158,15 +174,11 @@ class ValidationReport:
 
 def validate(sys: SaddlePointSystem) -> ValidationReport:
     """Check SPD of A and full row rank of B and C."""
-    if sys.size > DENSIFY_LIMIT:
-        raise ValueError("full validation is limited to desk-scale systems")
-    msgs = []
+    require_densifiable(sys)
     try:
-        require_spd(sys.A, "A")
-        spd_ok = True
+        spd_ok, msgs = sys.a_lu is not None, []
     except NotPositiveDefinite as exc:
-        spd_ok = False
-        msgs.append(str(exc))
+        spd_ok, msgs = False, [str(exc)]
 
     # numerical rank from singular values, tolerance max(shape)*eps*sigma_max
     ranks = {name: bool(np.linalg.matrix_rank(M.toarray()) == M.shape[0])

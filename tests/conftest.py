@@ -11,6 +11,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import saddlekit
+from saddlekit import precond, spectral, system
+from saddlekit.dense import require_spd
 from saddlekit.system import assemble
 
 
@@ -36,6 +38,30 @@ def cli_env(**extra):
     src = str(Path(saddlekit.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return {**os.environ, "PYTHONPATH": path, **extra}
+
+
+def count_factors(monkeypatch, matrix):
+    """(LUs of ``matrix``, factors of A): two lists that grow by the
+    arguments of each sparse LU of the coefficient matrix ``matrix`` and of
+    each ``require_spd`` of A that the package makes, wherever it makes
+    them.  LUs of P and factors of the shifts are not counted."""
+    lus, a_factors = [], []
+
+    def lu(M, *args, **kwargs):
+        if M.shape == matrix.shape and abs(M - matrix).max() == 0:
+            lus.append(M)
+        return spla.splu(M, *args, **kwargs)
+
+    def spd(M, what):
+        if what == "A":
+            a_factors.append(M)
+        return require_spd(M, what)
+
+    for module in (system, precond):
+        monkeypatch.setattr(module, "splu", lu, raising=False)
+    for module in (system, precond, spectral):
+        monkeypatch.setattr(module, "require_spd", spd)
+    return lus, a_factors
 
 
 def arpack_fails(*args, **kwargs):

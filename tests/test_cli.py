@@ -5,6 +5,7 @@ import csv
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from saddlekit.problems import NoiseSpec, example1, perturb
 from saddlekit.spectral import analyze
 from saddlekit.system import rhs_for_ones
 
-from conftest import arpack_fails, cli_env
+from conftest import arpack_fails, cli_env, count_factors
 
 GEN = ["--gen-l", "3"]
 
@@ -273,6 +274,15 @@ def test_sweep_s_builds_one_preconditioner_per_s(tmp_path, monkeypatch):
     assert built == [5.0, 10.0]
 
 
+def test_sweep_s_with_cond_factors_the_matrix_once(tmp_path, monkeypatch):
+    # the coefficient matrix does not depend on s: one LU serves every kappa
+    made, _ = count_factors(monkeypatch, example1(3).matrix)
+    rc = main(["sweep-s", *GEN, "--precond", "pess", "--s-values",
+               "1,2,5,10", "--with-cond", "--report",
+               str(tmp_path / "sweep.csv")])
+    assert rc == EXIT_OK and len(made) == 1
+
+
 def test_sweep_s_cond_above_densification_limit(tmp_path):
     # 4 * 36^2 = 5184 unknowns, above system.DENSIFY_LIMIT
     report = tmp_path / "sweep.csv"
@@ -381,6 +391,23 @@ def test_sensitivity_nonconvergence_exit_code(tmp_path, monkeypatch):
     assert len(calls) == 2
     rows = list(csv.reader(report.read_text().splitlines()))
     assert rows[1][0] == "none+noise" and rows[1][3] == "1"
+
+
+def test_sensitivity_refuses_above_the_densification_guard(capsys,
+                                                          monkeypatch):
+    # 4 * 36^2 = 5184 unknowns: every perturbed system has dense B and C,
+    # so the command exits before its baseline solve
+    def no_solve(*args):
+        raise AssertionError("a solve started above the guard")
+
+    monkeypatch.setattr(cli, "_solve_one", no_solve)
+    t0 = time.perf_counter()
+    rc = main(["sensitivity", "--gen-l", "36", "--precond", "pess"])
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("error: system size 5184 exceeds "
+                                 "densification guard 5000\n")
 
 
 def test_sensitivity_rejects_a_bad_noise_level_first(capsys):

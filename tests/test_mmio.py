@@ -84,21 +84,34 @@ def test_read_skips_lines_after_the_size_line(tmp_path, body):
     assert M[1, 1] == 7.0 and M.sum() == 7.0
 
 
-@pytest.mark.parametrize("end", [" ", "\t", "\r"],
-                         ids=["space", "tab", "carriage-return"])
-def test_read_last_line_without_newline(tmp_path, end):
-    # scipy's reader kills the process on such an ending, so the read runs
-    # in a child process: a crash fails this test instead of the test run
-    path = tmp_path / "e.mtx"
-    path.write_bytes(b"%%MatrixMarket matrix coordinate real general\n"
-                     b"2 2 1\n2 2 3.0" + end.encode())
-    code = ("import sys; from saddlekit.mmio import read_matrix_market; "
-            "print(read_matrix_market(sys.argv[1]).toarray().tolist())")
-    proc = subprocess.run([sys.executable, "-c", code, str(path)],
+ENDINGS = {"space": " ", "tab": "\t", "carriage-return": "\r"}
+
+
+@pytest.fixture(scope="module")
+def endings_read_in_child(tmp_path_factory):
+    """One file per last-line ending, all read by one child process, and
+    the child's (process, {ending: printed matrix}).  scipy's reader kills
+    the process on such an ending, so a crash fails every case instead of
+    the test run."""
+    paths = []
+    for name, end in ENDINGS.items():
+        paths.append(tmp_path_factory.mktemp("endings") / f"{name}.mtx")
+        paths[-1].write_bytes(b"%%MatrixMarket matrix coordinate real "
+                              b"general\n2 2 1\n2 2 3.0" + end.encode())
+    code = ("import sys; from saddlekit.mmio import read_matrix_market\n"
+            "for p in sys.argv[1:]: "
+            "print(read_matrix_market(p).toarray().tolist())")
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, paths)],
                           capture_output=True, text=True, timeout=60,
                           env=cli_env())
+    return proc, dict(zip(ENDINGS, proc.stdout.splitlines()))
+
+
+@pytest.mark.parametrize("end", list(ENDINGS))
+def test_read_last_line_without_newline(endings_read_in_child, end):
+    proc, printed = endings_read_in_child
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[[0.0, 0.0], [0.0, 3.0]]\n"
+    assert printed[end] == "[[0.0, 0.0], [0.0, 3.0]]"
 
 
 @pytest.mark.parametrize("header, body", [

@@ -301,7 +301,8 @@ def test_factor_nnz_counts(small_system):
                             + np.count_nonzero(G.lu.U.toarray()))
     P = build_bd(small_system)
     m = small_system.m
-    assert P.factor_nnz == P.a_lu.nnz + P.lu.nnz + m * (m + 1) // 2
+    assert P.factor_nnz == (small_system.a_lu.nnz
+                            + small_system.matrix_lu.nnz + m * (m + 1) // 2)
     # the random S is dense, so its factor fills the lower triangle
     assert np.count_nonzero(P.s_factor.lower) == m * (m + 1) // 2
     # a property, not a field: the built dataclasses hold only the factors

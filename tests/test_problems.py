@@ -113,6 +113,15 @@ def test_perturb_zero_is_identity():
     assert perturb(sysv, NoiseSpec(0.0)) is sysv
 
 
+def test_perturb_refuses_above_the_densification_guard():
+    # 4 * 36^2 = 5184 unknowns, above system.DENSIFY_LIMIT
+    sysv = example1(36)
+    with pytest.raises(ValueError, match="^system size 5184 exceeds "
+                                         "densification guard 5000$"):
+        perturb(sysv, NoiseSpec(5.0))
+    assert perturb(sysv, NoiseSpec(0.0)) is sysv  # densifies nothing
+
+
 def test_perturb_touches_only_coupling_blocks():
     sysv = example1(3)
     pert = perturb(sysv, NoiseSpec(10.0))

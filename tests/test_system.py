@@ -5,11 +5,14 @@ import pytest
 import scipy.sparse as sp
 
 from saddlekit.mmio import write_matrix_market
-from saddlekit.problems import example1, load_external
+from saddlekit.precond import build_bd
+from saddlekit.problems import case_preset, example1, load_external
+from saddlekit.spectral import (condition_number, scalar_extremes,
+                                shift_spectrum)
 from saddlekit.system import (BlockVector, SaddlePointSystem, assemble,
                               operator_apply, rhs_for_ones, validate)
 
-from conftest import random_system
+from conftest import count_factors, random_system
 
 
 def dense_operator(sys):
@@ -151,6 +154,19 @@ def test_validate_detects_rank_deficiency(rng):
     assert not rep.c_full_rank
     assert not rep.ok
     assert any("C" in msg for msg in rep.messages)
+
+
+def test_readers_share_the_system_factors(monkeypatch):
+    # each factor is made once, when first read, and kept by its system
+    sysv = example1(3)
+    lus, a_factors = count_factors(monkeypatch, sysv.matrix)
+    cfg = case_preset("II", sysv, s=13.0)
+    P = build_bd(sysv)
+    condition_number(sysv, P)
+    shift_spectrum(sysv, cfg)
+    scalar_extremes(sysv, cfg)
+    assert validate(sysv).ok
+    assert len(a_factors) == 1 and len(lus) == 1
 
 
 def test_validate_detects_indefinite_a(rng):
