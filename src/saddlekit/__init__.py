@@ -16,7 +16,7 @@ from .spectral import (BoundReport, InapplicableBound, ScalarExtremes,
                        pess_nonreal_bounds, pess_real_interval,
                        preconditioned_spectrum, scalar_extremes)
 from .stationary import (Diverged, StationaryReport, convergence_predicate,
-                         pess_iterate, sufficient_s_lower_bound)
+                         pess_iterate)
 from .system import (BlockVector, SaddlePointSystem, assemble, operator_apply,
                      rhs_for_ones, validate)
 

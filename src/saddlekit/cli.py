@@ -3,10 +3,11 @@ report writers (JSON for a ``--report`` path ending in ``.json``, else CSV).
 
 Exit codes: 0 success/converged, 1 usage or configuration error (including
 an input that is not SPD, a singular preconditioner, a singular coefficient
-matrix, a failed eigensolve or a ``sensitivity`` system above the
-densification guard), 2 non-convergence (for ``compare``, ``sweep-s`` and
-``sensitivity``, of any row; ``compare`` alone keeps going past a kind that
-fails and records it as an unconverged error row).
+matrix, a failed eigensolve, a ``spectrum`` or ``sensitivity`` system above
+the densification guard or a report path that cannot be written), 2
+non-convergence (for ``compare``, ``sweep-s`` and ``sensitivity``, of any
+row; ``compare`` alone keeps going past a kind that fails and records it as
+an unconverged error row).
 """
 
 from __future__ import annotations
@@ -170,33 +171,35 @@ def _make_system(args):
     return sys_, "external"
 
 
-def _make_precond(kind, sys_, args):
-    if kind == "none":
-        return None, {}
-    if kind == "bd":
-        return precond.build_bd(sys_), {}
+def _gss_config(kind, sys_, args):
+    """The config of the shift-splitting ``kind`` from the command's
+    settings, and the settings it read, for a report's params."""
     if kind in ("pess", "lpess"):
         # the case preset (P, Q, coef*W), without L1 for lpess
         cfg = problems.case_preset(args.case, sys_, args.s, args.lambda3_coef)
         if kind == "lpess":
             cfg = dataclasses.replace(cfg, lambda1=None)
-        meta = {"case": args.case, "s": args.s}
-    else:
-        # the half-shift kinds scale the case operands by their coefficients
-        P, Q, W = problems.case_operands(args.case, sys_)
-        cfg = precond.make_config(kind, alpha=args.alpha, beta=args.beta,
-                                  gamma=args.gamma, P=P, Q=Q, W=W)
-        coefs, _, reads_operands = precond.HALF_SHIFTS[kind]
-        meta = {"case": args.case} if reads_operands else {}
-        meta.update((c, getattr(args, c)) for c in coefs if c)
-    return precond.build(sys_, cfg), meta
+        return cfg, {"case": args.case, "s": args.s}
+    # the half-shift kinds scale the case operands by their coefficients
+    P, Q, W = problems.case_operands(args.case, sys_)
+    cfg = precond.make_config(kind, alpha=args.alpha, beta=args.beta,
+                              gamma=args.gamma, P=P, Q=Q, W=W)
+    coefs, _, reads_operands = precond.HALF_SHIFTS[kind]
+    meta = {"case": args.case} if reads_operands else {}
+    meta.update((c, getattr(args, c)) for c in coefs if c)
+    return cfg, meta
 
 
 def _solve_one(kind, sys_, problem_id, args):
     """Build the preconditioner and solve for the right-hand side whose
     solution is all ones; return the report, its record and the
     preconditioner (None for "none")."""
-    P, meta = _make_precond(kind, sys_, args)
+    P, meta = None, {}
+    if kind == "bd":
+        P = precond.build_bd(sys_)
+    elif kind != "none":
+        cfg, meta = _gss_config(kind, sys_, args)
+        P = precond.build(sys_, cfg)
     return (*_solve_with(kind, P, meta, sys_, problem_id, args), P)
 
 
@@ -268,15 +271,23 @@ def cmd_compare(args):
 
 
 def cmd_spectrum(args):
+    """The verdicts of a shift-splitting kind come from its config alone,
+    so no P is built for one; bd is built only below the densification
+    guard."""
     sys_, pid = _make_system(args)
-    P, _ = _make_precond(args.precond, sys_, args)
-    spec, _, reports = spectral.analyze(sys_, P)
+    kind, reports = args.precond, ()
+    if kind in precond.KINDS:
+        spec, _, reports = spectral.analyze(
+            sys_, _gss_config(kind, sys_, args)[0])
+    else:
+        require_densifiable(sys_)
+        spec = spectral.preconditioned_spectrum(
+            sys_, None if kind == "none" else precond.build_bd(sys_))
+        what = "unpreconditioned" if kind == "none" else "preconditioned"
+        print(f"{pid}: {len(spec)} eigenvalues of the {what} operator")
     for r in reports:
         print(f"{r.theorem}: {'holds' if r.holds else 'VIOLATED'} "
               f"({len(r.violations)} violations)")
-    if not reports:
-        what = "unpreconditioned" if P is None else "preconditioned"
-        print(f"{pid}: {len(spec)} eigenvalues of the {what} operator")
     if args.eig_csv:
         spectral.write_eigenvalue_csv(spec, args.eig_csv)
     if args.report:
@@ -375,8 +386,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args)
-    except (CliError, ValueError, FileNotFoundError, NotPositiveDefinite,
-            Singular, ConvergenceFailure) as exc:
+    except (CliError, ValueError, OSError, NotPositiveDefinite, Singular,
+            ConvergenceFailure) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_USAGE
 

@@ -150,7 +150,6 @@ def sigma_matrix(sys: SaddlePointSystem, cfg: GssConfig) -> sp.csc_matrix:
 
 @dataclass(frozen=True)
 class GssPreconditioner:
-    config: GssConfig
     matrix: sp.csc_matrix
     lu: object  # scipy.sparse.linalg.SuperLU of ``matrix``
     build_seconds: float  # wall time of ``build``
@@ -188,8 +187,7 @@ def build(sys: SaddlePointSystem, cfg: GssConfig) -> GssPreconditioner:
         lu = splu(P)
     except RuntimeError as exc:
         raise Singular(f"preconditioner is singular: {exc}") from exc
-    return GssPreconditioner(config=cfg, matrix=P, lu=lu,
-                             build_seconds=perf_counter() - t0)
+    return GssPreconditioner(matrix=P, lu=lu, build_seconds=perf_counter() - t0)
 
 
 # -- exact block diagonal baseline -------------------------------------

@@ -285,18 +285,15 @@ def lpess_bounds(spectrum, extremes: ScalarExtremes, s: float,
         holds=multiplicity >= n)
 
 
-def analyze(sys: SaddlePointSystem, P=None):
-    """(spectrum, extremes, reports) of P^{-1} A, or of A without P.  The
-    checks follow P's config: none without one (P None or bd); else the
+def analyze(sys: SaddlePointSystem, cfg: GssConfig):
+    """(spectrum, extremes, reports) of P^{-1} A for the shift-splitting P
+    of ``cfg``, which is never built.  The checks follow the config: the
     unit disk, then the real interval and the non-real disjunction if L1
     is kept, or the dropped-shift bounds; each found as a module global.
-    With a config the spectrum is 1/(s + nu) over ``shift_spectrum``,
-    after n entries of exactly 1/s if L1 is dropped, and part (2) reads
-    mu = 1/nu, which ``mu_transform`` would blur near 1/s.  The spectrum
-    comes first: above the densification guard no work is done."""
-    cfg = getattr(P, "config", None)
-    if cfg is None:
-        return preconditioned_spectrum(sys, P), None, ()
+    The spectrum is 1/(s + nu) over ``shift_spectrum``, after n entries of
+    exactly 1/s if L1 is dropped, and part (2) reads mu = 1/nu, which
+    ``mu_transform`` would blur near 1/s.  The spectrum comes first: above
+    the densification guard no work is done."""
     s, nu = cfg.s, shift_spectrum(sys, cfg)
     spec = np.r_[np.full(sys.size - nu.size, 1.0 / s), 1.0 / (s + nu)]
     ext = scalar_extremes(sys, cfg)

@@ -11,8 +11,8 @@ below one.  When all three shifts are SPD that is equivalent to
     (2 s - 1) |mu|^2 + 2 Re(mu) > 0
 
 for every mu in eig(Sigma^{-1/2} A Sigma^{-1/2}), Sigma = diag(L1, L2, L3).
-Any s >= 1/2 therefore converges; the sufficient lower bound on s is
-exactly 1/2 for this block structure (see ``sufficient_s_lower_bound``).
+Any s >= 1/2 therefore converges; ``PredicateReport.s_critical`` gives the
+exact threshold.
 """
 
 from __future__ import annotations
@@ -104,15 +104,3 @@ def convergence_predicate(sys: SaddlePointSystem, cfg: GssConfig,
     s_critical = float(np.max(0.5 - mu.real / np.abs(mu) ** 2))
     return PredicateReport(bool(np.all(lhs > 0.0)), float(lhs[k]), complex(mu[k]),
                            lhs, mu, s_critical)
-
-
-def sufficient_s_lower_bound(sys: SaddlePointSystem, cfg: GssConfig) -> float:
-    """max{ (1/2)(1 - lmin(Shat + Shat^T) / rho(Shat)^2), 0 } with
-    Shat = Sigma^{-1/2} A Sigma^{-1/2}; any s above this converges.
-
-    It is exactly 1/2: Shat + Shat^T = Sigma^{-1/2} (A + A^T) Sigma^{-1/2},
-    and A + A^T = blockdiag(2 A_11, 0, 0) as the off-diagonal blocks are
-    skew, so lmin = 0 whenever m + p >= 1 (``assemble`` rejects empty
-    blocks).  Sigma is still checked with ``require_spd``."""
-    require_spd(sigma_matrix(sys, cfg), "Sigma")
-    return 0.5

@@ -166,7 +166,7 @@ def spectral_case(l16, case_ii):
     keyed "<kind> <theorem>", and s."""
     reports = {}
     for label, c in case_ii.items():
-        _, _, reps = analyze(l16, build(l16, c))
+        _, _, reps = analyze(l16, c)
         reports.update((f"{label} {r.theorem}", r) for r in reps)
     return reports, 13.0
 
@@ -324,7 +324,7 @@ def test_criterion6_localization_random():
         sysv = random_system(rng, n=10, m=6, p=4)
         s = [0.5, 1.0, 2.0, 5.0][seed % 4]
         cfg = make_config("pess", lambda1=1.0, lambda2=1.0, lambda3=0.001, s=s)
-        spec, _, reports = analyze(sysv, build(sysv, cfg))
+        spec, _, reports = analyze(sysv, cfg)
         theorems = tuple(rep.theorem for rep in reports)
         if theorems != ("unit-disk", "real-interval", "nonreal-disjunction"):
             failures.append(f"seed {seed}: checked {theorems}")

@@ -47,25 +47,49 @@ def test_python_dash_m_runs_the_cli():
     assert "it=" in proc.stdout
 
 
-@pytest.mark.parametrize("kind,theorem", [("pess", "nonreal-disjunction"),
-                                          ("lpess", "lpess")],
-                         ids=["pess", "lpess"])
-def test_spectrum_verdict_does_not_depend_on_blas_threads(kind, theorem):
-    # pess Case I, s=12, has non-real eigenvalues within 1e-7 of 1/s, and
-    # lpess its cluster at 1/s; no verdict may move with the BLAS thread
-    # count
-    cmd = [sys.executable, "-m", "saddlekit", "spectrum", "--gen-l", "12",
-           "--precond", kind, "--case", "I"]
-    procs = [subprocess.Popen(cmd, stdout=subprocess.PIPE,
-                              stderr=subprocess.PIPE, text=True,
+# each child runs spectrum for both kinds in one interpreter and prints
+# {kind: [exit code, stdout]} as JSON
+THREADS_CHILD = """
+import contextlib, io, json
+from saddlekit.cli import main
+out = {}
+for kind in ("pess", "lpess"):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = main(["spectrum", "--gen-l", "12", "--precond", kind,
+                   "--case", "I"])
+    out[kind] = [rc, buf.getvalue()]
+print(json.dumps(out))
+"""
+
+
+@pytest.fixture(scope="module")
+def spectrum_by_threads():
+    """The children's outputs at 1 and at 2 BLAS threads, one child each."""
+    procs = [subprocess.Popen([sys.executable, "-c", THREADS_CHILD],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True,
                               env=cli_env(OPENBLAS_NUM_THREADS=n,
                                           OMP_NUM_THREADS=n))
              for n in ("1", "2")]
     outs = [proc.communicate(timeout=120) for proc in procs]
     for proc, (_, err) in zip(procs, outs):
-        assert proc.returncode == EXIT_OK, err
-    assert outs[0][0] == outs[1][0]
-    assert f"{theorem}: holds (0 violations)\n" in outs[0][0]
+        assert proc.returncode == 0, err
+    return [json.loads(out) for out, _ in outs]
+
+
+@pytest.mark.parametrize("kind,theorem", [("pess", "nonreal-disjunction"),
+                                          ("lpess", "lpess")],
+                         ids=["pess", "lpess"])
+def test_spectrum_verdict_does_not_depend_on_blas_threads(kind, theorem,
+                                                          spectrum_by_threads):
+    # pess Case I, s=12, has non-real eigenvalues within 1e-7 of 1/s, and
+    # lpess its cluster at 1/s; no verdict may move with the BLAS thread
+    # count
+    one, two = (out[kind] for out in spectrum_by_threads)
+    assert one[0] == two[0] == EXIT_OK
+    assert one[1] == two[1]
+    assert f"{theorem}: holds (0 violations)\n" in one[1]
 
 
 def test_solve_pess_with_report(tmp_path, capsys):
@@ -122,6 +146,13 @@ def test_json_report_from_the_suffix(tmp_path, command):
         assert type(r["it"]) is int and r["it"] == int(row[3])
         keys = [kv.split("=", 1)[0] for kv in row[6].split(";")]
         assert sorted(r["params"]) == keys
+
+
+def test_report_path_that_is_a_directory_is_a_usage_error(tmp_path, capsys):
+    rc = main(["solve", *GEN, "--report", str(tmp_path)])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_solve_nonconvergence_exit_code():
@@ -219,23 +250,48 @@ def test_spectrum_baseline_kind(capsys):
 
 KEEPS_L1 = ("unit-disk", "real-interval", "nonreal-disjunction")
 DROPS_L1 = ("unit-disk", "lpess")
-EXPECTED_THEOREMS = {"none": (), "bd": (), "pess": KEEPS_L1, "ss": KEEPS_L1,
-                     "egss": KEEPS_L1, "lpess": DROPS_L1, "rss": DROPS_L1,
-                     "rpgss": DROPS_L1}
+EXPECTED_THEOREMS = {"pess": KEEPS_L1, "ss": KEEPS_L1, "egss": KEEPS_L1,
+                     "lpess": DROPS_L1, "rss": DROPS_L1, "rpgss": DROPS_L1}
 
 
 @pytest.mark.parametrize("case", ["I", "II"])
-@pytest.mark.parametrize("kind", cli.PRECOND_KINDS)
+@pytest.mark.parametrize("kind", precond.KINDS)
 def test_analyze_picks_checks_from_the_config(kind, case, tiny_example):
-    # every kind with the CLI's default parameters
+    # every shift-splitting kind with the CLI's default parameters
     args = cli.build_parser().parse_args(
         ["spectrum", *GEN, "--precond", kind, "--case", case])
-    P, _ = cli._make_precond(kind, tiny_example, args)
-    spec, ext, reports = analyze(tiny_example, P)
+    cfg, _ = cli._gss_config(kind, tiny_example, args)
+    spec, ext, reports = analyze(tiny_example, cfg)
     assert spec.shape == (tiny_example.size,)
     assert tuple(r.theorem for r in reports) == EXPECTED_THEOREMS[kind]
-    assert (ext is None) == (not reports)
+    assert ext is not None
     assert all(r.holds for r in reports)
+
+
+def refuse_to_build(*args):
+    raise AssertionError("spectrum built a preconditioner")
+
+
+@pytest.mark.parametrize("case", ["I", "II"])
+@pytest.mark.parametrize("kind", precond.KINDS)
+def test_spectrum_builds_no_preconditioner(kind, case, monkeypatch, capsys):
+    # the verdicts come from the config alone
+    monkeypatch.setattr(precond, "build", refuse_to_build)
+    rc = main(["spectrum", *GEN, "--precond", kind, "--case", case])
+    assert rc == EXIT_OK
+    assert capsys.readouterr().out == "".join(
+        f"{t}: holds (0 violations)\n" for t in EXPECTED_THEOREMS[kind])
+
+
+@pytest.mark.parametrize("kind", ["pess", "bd"])
+def test_spectrum_refuses_above_the_guard_before_any_build(kind, monkeypatch,
+                                                           capsys):
+    monkeypatch.setattr(precond, "build", refuse_to_build)
+    monkeypatch.setattr(precond, "build_bd", refuse_to_build)
+    rc = main(["spectrum", "--gen-l", "36", "--precond", kind])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err == ("error: system size 5184 exceeds "
+                                       "densification guard 5000\n")
 
 
 @pytest.mark.parametrize("kind,what", [("none", "unpreconditioned"),

@@ -75,9 +75,8 @@ def test_analyze_maps_the_shift_spectrum_forward(small_system, cfg,
         return check(nonreal, mu, b, s)
 
     monkeypatch.setattr(spectral, "_nonreal_disjunction", spy)
-    P = build(small_system, cfg)
-    spec, _, reports = analyze(small_system, P)
-    ref = preconditioned_spectrum(small_system, P)
+    spec, _, reports = analyze(small_system, cfg)
+    ref = preconditioned_spectrum(small_system, build(small_system, cfg))
     assert spec.shape == ref.shape
     d = np.abs(spec[:, None] - ref[None, :])
     assert np.all(d.min(axis=1) <= 1e-10 * np.abs(spec))
@@ -154,7 +153,6 @@ def test_blocked_spectrum_memory_peak():
 
 def test_densification_guard_comes_before_any_work(monkeypatch):
     sysv = example1(36)  # 5184 unknowns, above system.DENSIFY_LIMIT
-    P = build(sysv, case_preset("II", sysv, s=12.0))
 
     def not_reached(*args):
         raise AssertionError("work started above the densification guard")
@@ -162,7 +160,7 @@ def test_densification_guard_comes_before_any_work(monkeypatch):
     monkeypatch.setattr(spectral, "scalar_extremes", not_reached)
     msg = "system size 5184 exceeds densification guard 5000"
     with pytest.raises(ValueError, match=msg):
-        analyze(sysv, P)
+        analyze(sysv, case_preset("II", sysv, s=12.0))
     with pytest.raises(ValueError, match=msg):
         preconditioned_spectrum(sysv, not_reached)
 
@@ -172,14 +170,14 @@ def test_densification_guard_reads_the_order_of_the_shift_eig(monkeypatch):
     N = 64, lpess is analyzed and pess is refused with N in the message."""
     sysv = example1(4)
     monkeypatch.setattr(system, "DENSIFY_LIMIT", 40)
-    spec, _, reports = analyze(sysv, build(sysv, lpess_cfg(12.0)))
+    spec, _, reports = analyze(sysv, lpess_cfg(12.0))
     assert spec.size == sysv.size and len(reports) == 2
     msg = "^system size 64 exceeds densification guard 40$"
     with pytest.raises(ValueError, match=msg):
-        analyze(sysv, build(sysv, pess_cfg(12.0)))
+        analyze(sysv, pess_cfg(12.0))
     monkeypatch.setattr(system, "DENSIFY_LIMIT", 31)
     with pytest.raises(ValueError, match="^dense block order 32 exceeds"):
-        analyze(sysv, build(sysv, lpess_cfg(12.0)))
+        analyze(sysv, lpess_cfg(12.0))
 
 
 # -- scalar extremes vs brute force ---------------------------------------

@@ -7,8 +7,7 @@ import pytest
 from saddlekit.precond import build, make_config, sigma_matrix
 from saddlekit.problems import case_preset, example1
 from saddlekit.spectral import shift_spectrum
-from saddlekit.stationary import (Diverged, convergence_predicate,
-                                  pess_iterate, sufficient_s_lower_bound)
+from saddlekit.stationary import Diverged, convergence_predicate, pess_iterate
 from saddlekit.system import rhs_for_ones
 
 from conftest import iteration_matrix_radius, random_system
@@ -137,9 +136,9 @@ def test_some_engineered_violations_occur():
 
 
 def test_sufficient_bound_guarantees_convergence(small_system):
-    cfg0 = pess_cfg(1.0)
-    bound = sufficient_s_lower_bound(small_system, cfg0)
-    assert 0.0 <= bound <= 0.5
+    # s_critical, the exact threshold, is at most the sufficient bound 1/2
+    bound = convergence_predicate(small_system, pess_cfg(1.0)).s_critical
+    assert bound <= 0.5
     s = bound + 0.05
     pred = convergence_predicate(small_system, pess_cfg(s))
     rho = iteration_matrix_radius(small_system,
@@ -160,18 +159,19 @@ def dense_sufficient_bound(sys, cfg):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_sufficient_bound_matches_dense_formula(seed):
+    # the paper's formula is exactly 1/2, and the exact threshold is below it
     sysv = random_system(np.random.default_rng(300 + seed), n=10, m=6, p=4)
     cfg = pess_cfg([0.3, 1.0, 2.0][seed % 3])
-    assert sufficient_s_lower_bound(sysv, cfg) == pytest.approx(
-        dense_sufficient_bound(sysv, cfg), abs=1e-12)
+    assert dense_sufficient_bound(sysv, cfg) == pytest.approx(0.5, abs=1e-12)
+    assert convergence_predicate(sysv, cfg).s_critical <= 0.5
 
 
 @pytest.mark.parametrize("case", ["I", "II"])
 def test_sufficient_bound_matches_dense_formula_example1(case):
     sysv = example1(3)
     cfg = case_preset(case, sysv, s=1.0)
-    assert sufficient_s_lower_bound(sysv, cfg) == pytest.approx(
-        dense_sufficient_bound(sysv, cfg), abs=1e-12)
+    assert dense_sufficient_bound(sysv, cfg) == pytest.approx(0.5, abs=1e-12)
+    assert convergence_predicate(sysv, cfg).s_critical <= 0.5
 
 
 @pytest.mark.parametrize("seed", range(5))
