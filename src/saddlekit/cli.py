@@ -2,9 +2,10 @@
 report writers (JSON for a ``--report`` path ending in ``.json``, else CSV).
 
 Exit codes: 0 success/converged, 1 usage or configuration error (including
-an input that is not SPD, a singular preconditioner, a singular coefficient
-matrix, a failed eigensolve, a ``spectrum`` or ``sensitivity`` system above
-the densification guard or a report path that cannot be written), 2
+an input that is not SPD, a singular preconditioner or coefficient matrix, a
+failed eigensolve, a ``spectrum`` or ``sensitivity`` system above the
+densification guard, an output path that is a directory or lies in a
+missing one, refused before any work, or one that cannot be written), 2
 non-convergence (for ``compare``, ``sweep-s`` and ``sensitivity``, of any
 row; ``compare`` alone keeps going past a kind that fails and records it as
 an unconverged error row).
@@ -385,6 +386,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
+        # refuse an output path before any work; the writes still come last
+        for path in filter(None, (args.report, vars(args).get("eig_csv"))):
+            if os.path.isdir(path):
+                raise CliError(f"{path} is a directory")
+            if not os.path.isdir(os.path.dirname(path) or "."):
+                raise CliError(f"{path}: its directory does not exist")
         return _COMMANDS[args.command](args)
     except (CliError, ValueError, OSError, NotPositiveDefinite, Singular,
             ConvergenceFailure) as exc:

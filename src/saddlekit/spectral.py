@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -97,6 +97,12 @@ def shift_spectrum(sys: SaddlePointSystem, cfg: GssConfig) -> np.ndarray:
         raise ConvergenceFailure(str(exc)) from exc
 
 
+def s_critical(nu) -> float:
+    """1/2 - min Re nu, nu = eig(A^{-1} Sigma): 1/(s + nu) lies in the unit
+    disk around 1, and the stationary iteration converges, iff s exceeds it."""
+    return float(0.5 - np.min(np.real(nu)))
+
+
 def _pencil_extremes(S, T):
     """Smallest and largest eigenvalue of T^{-1} S for a dense symmetric S
     and a sparse SPD T already passed through ``require_spd``."""
@@ -166,8 +172,9 @@ def _report(theorem, bounds, lam, margin, bad, metadata, holds=True):
 
 
 def check_unit_disk(spectrum, s: float) -> BoundReport:
-    """|lambda - 1| < 1: the preconditioned spectrum sits in the open unit
-    disk centered at (1, 0) whenever s >= 1/2."""
+    """|lambda - 1| < 1: the spectrum sits in the open unit disk centered at
+    (1, 0) iff s > ``s_critical``.  The 1e-9 slack also admits the circle:
+    lambda = 1/s = 2 at s = 1/2 with L1 dropped, where rho(P^{-1} Q) = 1."""
     lam = np.asarray(spectrum, dtype=np.complex128)
     dist = np.abs(lam - 1.0)
     return _report("unit-disk", {"center": 1.0, "radius": 1.0}, lam,
@@ -290,19 +297,21 @@ def analyze(sys: SaddlePointSystem, cfg: GssConfig):
     of ``cfg``, which is never built.  The checks follow the config: the
     unit disk, then the real interval and the non-real disjunction if L1
     is kept, or the dropped-shift bounds; each found as a module global.
-    The spectrum is 1/(s + nu) over ``shift_spectrum``, after n entries of
-    exactly 1/s if L1 is dropped, and part (2) reads mu = 1/nu, which
-    ``mu_transform`` would blur near 1/s.  The spectrum comes first: above
-    the densification guard no work is done."""
+    The spectrum is 1/(s + nu) over ``shift_spectrum`` (nu = 0 n times if
+    L1 is dropped), the unit disk reports their ``s_critical``, and part
+    (2) reads mu = 1/nu, which ``mu_transform`` would blur near 1/s.  The
+    spectrum comes first: above the densification guard no work is done."""
     s, nu = cfg.s, shift_spectrum(sys, cfg)
-    spec = np.r_[np.full(sys.size - nu.size, 1.0 / s), 1.0 / (s + nu)]
+    nu = np.r_[np.zeros(sys.size - nu.size), nu]
+    spec = 1.0 / (s + nu)
     ext = scalar_extremes(sys, cfg)
+    disk = check_unit_disk(spec, s)
+    disk = replace(disk, metadata={**disk.metadata,
+                                   "s_critical": s_critical(nu)})
     if not cfg.is_pess:
-        return spec, ext, (check_unit_disk(spec, s),
-                           lpess_bounds(spec, ext, s, sys.n))
+        return spec, ext, (disk, lpess_bounds(spec, ext, s, sys.n))
     nonreal = ~_is_real(spec)
-    return spec, ext, (check_unit_disk(spec, s),
-                       check_real_interval(spec, ext, s),
+    return spec, ext, (disk, check_real_interval(spec, ext, s),
                        _nonreal_disjunction(spec[nonreal], 1.0 / nu[nonreal],
                                             pess_nonreal_bounds(ext, s), s))
 

@@ -6,13 +6,11 @@ The splitting A = P - Q gives the fixed-point scheme
     u_{k+1} = u_k + P^{-1} (d - A u_k)
 
 which converges iff the spectral radius of the iteration matrix P^{-1} Q is
-below one.  When all three shifts are SPD that is equivalent to
-
-    (2 s - 1) |mu|^2 + 2 Re(mu) > 0
-
-for every mu in eig(Sigma^{-1/2} A Sigma^{-1/2}), Sigma = diag(L1, L2, L3).
-Any s >= 1/2 therefore converges; ``PredicateReport.s_critical`` gives the
-exact threshold.
+below one.  When all three shifts are SPD that holds iff s > s_critical =
+1/2 - min Re(nu) over nu in eig(A^{-1} Sigma), Sigma = diag(L1, L2, L3):
+the unit disk |1/(s + nu) - 1| < 1, or (2 s - 1) |mu|^2 + 2 Re(mu) > 0
+over mu = 1/nu, which is that inequality times |mu|^2.  Re(nu) >= 0, so
+any s > 1/2 converges.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ import numpy as np
 
 from .dense import ConvergenceFailure, require_spd
 from .precond import GssConfig, build, sigma_matrix
-from .spectral import shift_spectrum
+from .spectral import s_critical, shift_spectrum
 from .system import SaddlePointSystem, _check_tol, _flat, operator_apply
 
 DIVERGENCE_THRESHOLD = 1e12
@@ -78,29 +76,15 @@ def pess_iterate(sys: SaddlePointSystem, cfg: GssConfig, d, u0=None,
 @dataclass(frozen=True)
 class PredicateReport:
     holds: bool
-    min_lhs: float
-    witness: complex
-    lhs_values: np.ndarray
-    eigenvalues: np.ndarray
     s_critical: float
 
 
-def convergence_predicate(sys: SaddlePointSystem, cfg: GssConfig,
-                          mu=None) -> PredicateReport:
-    """(2s-1)|mu|^2 + 2 Re(mu) > 0 over the scaled spectrum; the witness is
-    the eigenvalue attaining the minimal left-hand side.
-
-    ``s_critical`` is max over mu of 1/2 - Re(mu)/|mu|^2, the exact
-    threshold: the predicate holds iff s > s_critical.  The scaled spectrum
-    does not depend on s, and Re(mu) >= 0 makes s_critical <= 1/2."""
+def convergence_predicate(sys: SaddlePointSystem,
+                          cfg: GssConfig) -> PredicateReport:
+    """Whether the stationary iteration converges: s > ``s_critical`` from
+    ``spectral.s_critical``, which a caller holding nu can call directly."""
     if not cfg.is_pess:
         raise ValueError("predicate needs an SPD (1,1) shift")
-    if mu is None:
-        require_spd(sigma_matrix(sys, cfg), "Sigma")
-        mu = 1.0 / shift_spectrum(sys, cfg)
-    mu = np.asarray(mu, dtype=np.complex128)
-    lhs = (2.0 * cfg.s - 1.0) * np.abs(mu) ** 2 + 2.0 * mu.real
-    k = int(np.argmin(lhs))
-    s_critical = float(np.max(0.5 - mu.real / np.abs(mu) ** 2))
-    return PredicateReport(bool(np.all(lhs > 0.0)), float(lhs[k]), complex(mu[k]),
-                           lhs, mu, s_critical)
+    require_spd(sigma_matrix(sys, cfg), "Sigma")
+    s_crit = s_critical(shift_spectrum(sys, cfg))
+    return PredicateReport(bool(cfg.s > s_crit), s_crit)

@@ -148,10 +148,28 @@ def test_json_report_from_the_suffix(tmp_path, command):
         assert sorted(r["params"]) == keys
 
 
-def test_report_path_that_is_a_directory_is_a_usage_error(tmp_path, capsys):
-    rc = main(["solve", *GEN, "--report", str(tmp_path)])
+@pytest.mark.parametrize("command,option,target", [
+    pytest.param(command, option, target,
+                 id=f"{command[0]}-{option[2:]}-{target}")
+    for command, option, target in [
+        (["solve"], "--report", "dir"),
+        (["solve"], "--report", "missing"),
+        (["compare"], "--report", "missing"),
+        (["sweep-s", "--s-values", "1,2"], "--report", "dir"),
+        (["sensitivity", "--precond", "pess"], "--report", "missing"),
+        (["params", "--preset", "pess-II"], "--report", "dir"),
+        (["spectrum", "--precond", "pess"], "--report", "dir"),
+        (["spectrum", "--precond", "pess"], "--eig-csv", "missing")]])
+def test_report_path_that_is_a_directory_is_a_usage_error(command, option,
+                                                          target, tmp_path,
+                                                          capsys):
+    # an output path that is a directory or lies in a missing one is refused
+    # before any work, so no row or verdict is printed ahead of the error
+    path = tmp_path if target == "dir" else tmp_path / "missing" / "x.json"
+    rc = main([command[0], *GEN, *command[1:], option, str(path)])
     assert rc == EXIT_USAGE
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 
 

@@ -336,6 +336,28 @@ def test_lpess_localization_on_random_systems(seed):
     assert rep.metadata["theta_tilde_convention"]
 
 
+@pytest.fixture(scope="module")
+def example6():
+    return example1(6)
+
+
+@pytest.mark.parametrize("case", ["I", "II"])
+@pytest.mark.parametrize("kind,s", [
+    *((k, s) for k in ("pess", "lpess") for s in (0.3, 1.0, 13.0)),
+    ("ss", None), ("egss", None), ("rpgss", None)])
+def test_unit_disk_holds_exactly_above_s_critical(kind, s, case, example6):
+    # 1/(s + nu) lies in the unit disk around 1 iff s > 1/2 - min Re nu; a
+    # dropped L1 adds nu = 0, so its threshold is at least 1/2.  The
+    # half-shift kinds keep their own s and the CLI's default coefficients.
+    P, Q, W = case_operands(case, example6)
+    cfg = make_config(kind, lambda1=P, lambda2=Q, lambda3=0.001 * W, s=s,
+                      alpha=0.1, beta=1.0, gamma=0.001, P=P, Q=Q, W=W)
+    disk = analyze(example6, cfg)[2][0]
+    assert disk.theorem == "unit-disk"
+    assert disk.holds == (cfg.s > disk.metadata["s_critical"])
+    assert cfg.is_pess or disk.metadata["s_critical"] >= 0.5
+
+
 # -- planted violations ------------------------------------------------------
 
 

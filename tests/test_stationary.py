@@ -6,7 +6,7 @@ import pytest
 
 from saddlekit.precond import build, make_config, sigma_matrix
 from saddlekit.problems import case_preset, example1
-from saddlekit.spectral import shift_spectrum
+from saddlekit.spectral import analyze, s_critical, shift_spectrum
 from saddlekit.stationary import Diverged, convergence_predicate, pess_iterate
 from saddlekit.system import rhs_for_ones
 
@@ -85,22 +85,25 @@ def test_predicate_requires_symmetric_scheme(small_system):
 
 
 def test_predicate_reports_witness(small_system):
-    cfg = pess_cfg(2.0)
-    pred = convergence_predicate(small_system, cfg)
-    assert pred.holds
-    assert pred.min_lhs > 0
-    lhs = (2 * cfg.s - 1) * abs(pred.witness) ** 2 + 2 * pred.witness.real
-    assert lhs == pytest.approx(pred.min_lhs, rel=1e-12)
-    assert pred.lhs_values.min() == pytest.approx(pred.min_lhs)
+    # s_critical = 1/2 - min Re nu is the threshold of the scaled-spectrum
+    # predicate (2s-1)|mu|^2 + 2 Re mu > 0 over mu = 1/nu, the oracle here
+    for s in (0.01, 2.0):
+        cfg = pess_cfg(s, lam3=1e-6)
+        pred = convergence_predicate(small_system, cfg)
+        mu = 1 / shift_spectrum(small_system, cfg)
+        oracle = np.max(0.5 - mu.real / np.abs(mu) ** 2)
+        assert pred.s_critical == pytest.approx(oracle, rel=1e-12)
+        lhs = (2 * s - 1) * np.abs(mu) ** 2 + 2 * mu.real
+        assert pred.holds == (s > pred.s_critical) == bool(np.all(lhs > 0))
 
 
 def test_predicate_accepts_precomputed_spectrum(small_system):
+    # analyze's unit-disk report and the predicate read one threshold
     cfg = pess_cfg(2.0)
-    mu = 1 / shift_spectrum(small_system, cfg)
-    a = convergence_predicate(small_system, cfg)
-    b = convergence_predicate(small_system, cfg, mu=mu)
-    assert a.holds == b.holds
-    assert a.min_lhs == pytest.approx(b.min_lhs)
+    disk = analyze(small_system, cfg)[2][0]
+    assert disk.theorem == "unit-disk"
+    assert (disk.metadata["s_critical"]
+            == convergence_predicate(small_system, cfg).s_critical)
 
 
 def test_predicate_matches_spectral_radius_on_random_systems():
@@ -119,7 +122,7 @@ def test_predicate_matches_spectral_radius_on_random_systems():
         rho = iteration_matrix_radius(sysv, build(sysv, cfg))
         if abs(rho - 1.0) < 1e-8:
             continue  # borderline: both sides are numerically ambiguous
-        assert pred.holds == (rho < 1.0), (seed, s, rho, pred.min_lhs)
+        assert pred.holds == (rho < 1.0), (seed, s, rho, pred.s_critical)
         if s >= 0.5:
             assert pred.holds and rho < 1.0
         checked += 1
@@ -176,16 +179,14 @@ def test_sufficient_bound_matches_dense_formula_example1(case):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_predicate_holds_exactly_above_s_critical(seed):
-    # s_critical is the predicate's threshold; the scaled spectrum does not
-    # depend on s, so one spectrum serves every s
+    # s_critical is the predicate's threshold; nu does not depend on s, so
+    # one spectrum gives the threshold of every s
     sysv = random_system(np.random.default_rng(400 + seed), n=10, m=6, p=4)
-    mu = 1 / shift_spectrum(sysv, pess_cfg(1.0, lam3=1e-4))
-    s_crit = convergence_predicate(sysv, pess_cfg(1.0, lam3=1e-4),
-                                   mu=mu).s_critical
+    s_crit = s_critical(shift_spectrum(sysv, pess_cfg(1.0, lam3=1e-4)))
     assert s_crit <= 0.5
     for s in (0.01, s_crit - 0.05, s_crit - 1e-6, s_crit + 1e-6,
               s_crit + 0.05, 0.5, 2.0):
-        pred = convergence_predicate(sysv, pess_cfg(s, lam3=1e-4), mu=mu)
+        pred = convergence_predicate(sysv, pess_cfg(s, lam3=1e-4))
         assert pred.s_critical == s_crit
         assert pred.holds == (s > s_crit), (seed, s, s_crit)
 
