@@ -2,14 +2,29 @@
 
 Arnoldi with classical Gram-Schmidt run twice, the second pass delayed by
 one step (DCGS2: Swirydowicz et al., NLAA 2021; Bielich et al., Parallel
-Computing 2022).  Step k applies the operator to the basis vector that has
-had one pass, then makes one sweep over the basis in ``BASIS_BLOCK``-row
-chunks that computes both that vector's second-pass coefficients and the
-new vector's first-pass ones while each chunk is in cache; the Arnoldi
-relation for the finished vector is restored algebraically, with no extra
-operator apply.  The basis is read from memory once per step.  When the
-residual is about to be decided (it crosses the tolerance, at breakdown
-or at ``maxit``) the newest vector gets its second pass at once instead.
+Computing 2022).  Step k applies the operator to p_k, the basis vector
+that has had one pass, then makes one sweep over the basis in
+``BASIS_BLOCK``-row chunks that computes both p_k's second-pass
+coefficients s_k and the new vector's first-pass ones while each chunk is
+in cache.  A step reads the basis from memory once and reads no other
+array of k N or k^2 entries, on the flexible path too.  When the residual
+is about to be decided (it crosses the tolerance, at breakdown or at
+``maxit``) the newest vector gets its second pass at once instead.
+
+Column k of the Hessenberg matrix is first written *open*: as the
+coefficients [z; t; ||w||] of Op(p_k), with p_k = nu_k q_k + Q_k s_k for
+the finished vector q_k.  The solver keeps (s_k, nu_k) for the open
+columns only, at most one block of them.  ``settle`` turns the open
+columns into the Arnoldi columns of the q_k once a block of them is full
+and before every confirm, in one product with the settled rows and one
+lower-triangular solve; a flexible solve settles its open rows of Z, P^-1
+p_k, with the same coefficients.  Only ``settle`` reads the settled rows of
+H and Z.  The rotations need no settling: an open column is nu_k times the
+settled one plus H_k s_k, and the rotated diagonal xi is row k of the
+accumulated rotations, so xi^T H_k = 0, and the open column yields the
+same rotation, breakdown test and monitored residual as the settled one
+up to rounding.  The second pass's correction of the previous column is
+linear, so it may come before or after that column is settled.
 
 The Hessenberg columns are reduced by Givens rotations.  The rotated
 diagonal of column k is one dot product of the column with weights
@@ -26,15 +41,15 @@ matching the two conventions found in published tables:
 
 * right (default): solve A P^{-1} v = d, u = P^{-1} v, as flexible GMRES
   (Saad, SIAM J. Sci. Comput. 14(2), 1993).  With a preconditioner the
-  solver keeps z_j = P^{-1} v_j, which step j's apply makes anyway; when
-  the second pass finishes v_j, z_j gets the same correction, so A z_j is
-  Arnoldi column j whatever P each apply used, and u = x0 + Z y takes no
-  further apply.  The solver monitors the least-squares residual and stops
-  only on a confirmed true residual: once the monitored value drops below
-  the tolerance it assembles u and computes ||A u - d|| / ||d||, and if
-  that is not below the tolerance too it keeps iterating, unless the
-  monitored value is at rounding level (<= ``BREAKDOWN``): later steps
-  cannot move the iterate, so it stops unconverged.
+  solver keeps z_j = P^{-1} p_j, which step j's apply makes anyway; once
+  settled, A z_j is Arnoldi column j whatever P each apply used, and
+  u = x0 + Z y takes no further apply.  The solver monitors the
+  least-squares residual and stops only on a confirmed true residual: once
+  the monitored value drops below the tolerance it assembles u and
+  computes ||A u - d|| / ||d||, and if that is not below the tolerance too
+  it keeps iterating, unless the monitored value is at rounding level
+  (<= ``BREAKDOWN``): later steps cannot move the iterate, so it stops
+  unconverged.
 
 * left: solve P^{-1} A u = P^{-1} d.  The monitored residual is the
   PRECONDITIONED relative residual ||P^{-1}(A u - d)|| / ||P^{-1} d||,
@@ -50,9 +65,10 @@ apply; from the zero start r0 is d and costs none, so a solve from zero
 that confirms once makes iterations + 1 operator applies, and a right
 solve makes iterations preconditioner applies.  ``phase_seconds`` splits
 the solve's time over ``PHASES``: operator applies, preconditioner applies
-(0 without a preconditioner), orthogonalization with the Givens update,
-and the residual confirms, each of which assembles an iterate and applies
-the operator to it.  The phases sum to at most ``wall_seconds``.
+(0 without a preconditioner), orthogonalization with the Givens update
+and every settle, and the residual confirms, each of which assembles an
+iterate and applies the operator to it.  The phases sum to at most
+``wall_seconds``.
 
 The basis, the z_j and the Hessenberg matrix are allocated in
 ``BASIS_BLOCK``-row blocks as the basis grows, never sized from ``maxit``
@@ -64,8 +80,9 @@ block of Z needs no spare row.  Hessenberg block b holds Arnoldi columns as
 rows, cut to the BASIS_BLOCK * (b + 1) + 1 entries they can fill, which is
 about half of the square.  A solve of k steps holds about 8 k N bytes of
 basis (16 k N for a right solve with a preconditioner, Z included) and
-4 k^2 of Hessenberg blocks; assembling an iterate adds one block column of
-R, at most 8 BASIS_BLOCK (k + 1) bytes.
+4 k^2 of Hessenberg blocks.  The open columns' coefficients add at most
+8 BASIS_BLOCK (k + BASIS_BLOCK) bytes, freed at each settle; assembling
+an iterate adds one block column of R, at most 8 BASIS_BLOCK (k + 1).
 """
 
 from __future__ import annotations
@@ -75,7 +92,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import drot, dtrsv
+from scipy.linalg.blas import drot, dtrsm, dtrsv
 
 from .system import (BlockVector, SaddlePointSystem, _check_tol, _flat,
                      operator_apply)
@@ -175,9 +192,13 @@ def gmres(sys: SaddlePointSystem, d, precond=None, tol=1e-6, maxit=7000,
     maxit = min(maxit, N)
     # basis vector and Arnoldi column j are row j % BASIS_BLOCK of block
     # j // BASIS_BLOCK of V and of H (basis blocks have a spare last row);
-    # a flexible solve keeps P^-1 v_j in the same row of Z
+    # a flexible solve keeps P^-1 p_j in the same row of Z
     flexible = right and precond is not None
     V, H, Z = [], [], []
+    # columns first.. are open: column j holds the coefficients of Op(p_j),
+    # p_j = nu_j q_j + Q_j s_j the vector the operator was applied to, and
+    # row j - first of coef holds s_j, then nu_j at entry j
+    first, coef = 0, None
     xi = np.zeros(maxit + 1)  # rotated diagonal of column k: xi @ column k
     xi[0] = 1.0
     cs, sn = [], []
@@ -211,7 +232,8 @@ def gmres(sys: SaddlePointSystem, d, precond=None, tol=1e-6, maxit=7000,
         nu = math.sqrt(vec @ vec)
         col[:j + 1] += col[j + 1] * s
         col[j + 1] = h = float(col[j + 1] * nu)
-        # ||Op(v_j)|| = ||column j||: the breakdown test is scale-free
+        # ||column j|| = ||Op|| of its vector: the breakdown test is
+        # scale-free
         breakdown = h <= BREAKDOWN * math.sqrt(col[:j + 2] @ col[:j + 2])
         if not breakdown:
             vec /= nu
@@ -228,14 +250,45 @@ def gmres(sys: SaddlePointSystem, d, precond=None, tol=1e-6, maxit=7000,
         return nu, history[-1], breakdown
 
     def left_product(y, blocks, k, width):
-        """y @ M[:k, :width] for the blocked V, H or Z as M.  The block that
-        holds row k-1 is the widest, so its product starts the sum."""
+        """y @ M[:k, :width] for the blocked V, H or Z as M, where y is one
+        row of coefficients or a block of rows.  The block that holds row
+        k-1 is the widest, so its product starts the sum; the sum is kept
+        transposed, so that each narrower block adds to its leading rows."""
         j0 = (k - 1) // BASIS_BLOCK * BASIS_BLOCK
-        out = y[j0:k] @ blocks[j0 // BASIS_BLOCK][:k - j0, :width]
+        out = blocks[j0 // BASIS_BLOCK][:k - j0, :width].T @ y[..., j0:k].T
         for j, M in leading(blocks, j0):
             M = M[:, :width]
-            out[:M.shape[1]] += y[j:j + len(M)] @ M
-        return out
+            out[:M.shape[1]] += M.T @ y[..., j:j + len(M)].T
+        return out.T
+
+    def subtract_rows(B, P):
+        """B[:, :width] -= P a row at a time: numpy would buffer the strided
+        2-D update."""
+        for b, p in zip(B, P):
+            b[:len(p)] -= p
+
+    def settle(e):
+        """Turn the open columns first..e-1, the coefficients of Op(p_j),
+        into the Arnoldi columns of the q_j.  With p_j = nu_j q_j + Q_j s_j
+        they solve (D + S) H_open = U_open - S_old H[:first]: one product
+        with the settled rows and one lower-triangular solve with the
+        coefficients' diagonal block, D + S.  The product takes
+        BASIS_BLOCK // 8 open rows at a time, so that its temporaries stay
+        small.  The open rows of Z, P^-1 p_j, are settled the same way."""
+        nonlocal first, coef
+        if e > first:
+            C, i = coef[:e - first], first % BASIS_BLOCK
+            for blocks, width in [(H, first + 1), (Z, N)][:1 + flexible]:
+                B = blocks[-1][i:i + len(C)]
+                if first:
+                    for r in range(0, len(C), BASIS_BLOCK // 8):
+                        subtract_rows(B[r:], left_product(
+                            C[r:r + BASIS_BLOCK // 8, :first], blocks, first,
+                            width))
+                # B = (D + S)^-1 B in place, on B^T in Fortran order: side,
+                # lower, trans_a, diag and overwrite_b go by position
+                dtrsm(1.0, C[:, first:e], B.T, 1, 1, 1, 0, 1)
+        first, coef = e, None
 
     def solve_block(y, j0, Hb):
         """Solve R y = g for the unknowns of the Hessenberg block Hb, columns
@@ -262,6 +315,7 @@ def gmres(sys: SaddlePointSystem, d, precond=None, tol=1e-6, maxit=7000,
         rounding level (<= BREAKDOWN): the least-squares problem is then
         solved, and later steps cannot move the iterate."""
         nonlocal n_matvec
+        settle(k)
         lap("orthogonalize")
         y = np.array(g[:k])  # R y = g, the last block column of R first
         for j0, Hb in reversed(list(leading(H, k))):
@@ -296,6 +350,7 @@ def gmres(sys: SaddlePointSystem, d, precond=None, tol=1e-6, maxit=7000,
     for k in range(maxit):
         i = k % BASIS_BLOCK
         if i == 0:
+            settle(k)  # the block is full
             V.append(np.empty((BASIS_BLOCK + 1, N)))
             V[-1][0] = V[-2][BASIS_BLOCK] if k else r0 / beta
             H.append(np.zeros((BASIS_BLOCK, k + BASIS_BLOCK + 1)))
@@ -303,14 +358,11 @@ def gmres(sys: SaddlePointSystem, d, precond=None, tol=1e-6, maxit=7000,
                 Z.append(np.empty((BASIS_BLOCK, N)))
         X = V[-1][i:i + 2]
         v, w, col = X[0], X[1], H[-1][i]
-        zk = Z[-1][i] if flexible else None
-        w[:] = op(v, zk)
+        w[:] = op(v, Z[-1][i] if flexible else None)  # p_k = v
         n_matvec += 1
         n_apply += 1
         if pending:
-            # one sweep: v's second pass (coefficients s) and w's first (z).
-            # With v finished, Op(v) = (w - V H[:k] s) / nu, so its column
-            # follows from z and s without another apply.
+            # one sweep: v's second pass (coefficients s) and w's first (z)
             s, z = project(k, X).T
             nu, res, breakdown = finalize(k - 1, v, s)
             it = k
@@ -318,24 +370,23 @@ def gmres(sys: SaddlePointSystem, d, precond=None, tol=1e-6, maxit=7000,
                 x, true_res, converged, stop = confirm(it, res, breakdown)
                 if stop:
                     break
-            if flexible:  # so that A z_k is the column restored below
-                zk -= left_product(s, Z, k, N)
-                zk /= nu
-            t = float(v @ w)
-            col[:k] = (z - left_product(s, H, k, k)) / nu
-            col[k] = (t - column(k - 1)[k] * s[-1]) / nu
-            w -= t * v  # nu times the projected Op(v)
-            scale = 1.0 / nu
+            # column k is open: Op(p_k) = Q_k z + t q_k + ||w|| q_{k+1}
+            col[:k] = z
+            col[k] = t = float(v @ w)
+            w -= t * v
         else:
             col[:k + 1] = project(k + 1, X[1:])[:, 0]
-            scale = 1.0
-        nrm = math.sqrt(w @ w)
-        col[k + 1] = h = nrm * scale
+            s, nu = 0.0, 1.0
+        if coef is None:  # room for the open columns left in the block
+            end = min(k - i + BASIS_BLOCK, maxit)
+            coef = np.zeros((end - k, end))
+        coef[k - first, :k], coef[k - first, k] = s, nu
+        col[k + 1] = h = math.sqrt(w @ w)
         breakdown = h <= BREAKDOWN * math.sqrt(col[:k + 2] @ col[:k + 2])
         if breakdown:
-            col[k + 1] = scale  # the second pass runs on w unnormalized
+            col[k + 1] = 1.0  # the second pass runs on w unnormalized
         else:
-            w /= nrm
+            w /= h
         # the provisional rotation of column k only says when the residual
         # is about to be decided; the decision uses the finished column
         a = float(xi[:k + 1] @ col[:k + 1])

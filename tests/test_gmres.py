@@ -341,28 +341,42 @@ def reference_history(sys_, d, precond, side, steps):
     return np.array(hist)
 
 
+def reference_case(case):
+    """(system, preconditioner apply, side) of a reference-history case."""
+    sysv = example1(8 if case.endswith("l8") else 6)
+    if case == "none-l6":
+        return sysv, None, "right"
+    if case == "ss-right-l6":  # a weak fixed P: the flexible path, 132 steps
+        return sysv, build(sysv, make_config("ss", alpha=1000.0)).apply, \
+            "right"
+    if case == "pess-II-right-l8":
+        return sysv, build(sysv, case_preset("II", sysv, s=12.0)).apply, \
+            "right"
+    return sysv, build(sysv, make_config("ss", alpha=0.1)).apply, "left"
+
+
 @pytest.mark.parametrize("case,maxit", [
     pytest.param("none-l6", 7000, id="none-l6"),
     # the 139-step run cut on both sides of the block boundaries
     *(pytest.param("none-l6", m, id=f"none-l6-maxit{m}")
       for m in (BASIS_BLOCK - 1, BASIS_BLOCK, BASIS_BLOCK + 1,
                 2 * BASIS_BLOCK)),
+    # the flexible path settles Z too, across two block boundaries
+    pytest.param("ss-right-l6", 7000, id="ss-right-l6"),
+    *(pytest.param("ss-right-l6", m, id=f"ss-right-l6-maxit{m}")
+      for m in (BASIS_BLOCK - 1, BASIS_BLOCK, BASIS_BLOCK + 1)),
     pytest.param("pess-II-right-l8", 7000, id="pess-II-right-l8"),
     pytest.param("ss-left-l8", 7000, id="ss-left-l8"),
 ])
 def test_history_matches_dense_reference(case, maxit):
-    # the delayed second Gram-Schmidt pass and the one-dot Givens update
-    # reproduce the textbook recurrence step by step
-    sysv = example1(6 if case == "none-l6" else 8)
-    if case == "none-l6":
-        P, side = None, "right"
-    elif case == "pess-II-right-l8":
-        P, side = build(sysv, case_preset("II", sysv, s=12.0)).apply, "right"
-    else:
-        P, side = build(sysv, make_config("ss", alpha=0.1)).apply, "left"
+    # the delayed second Gram-Schmidt pass, the open columns settled once
+    # per block and the one-dot Givens update reproduce the textbook
+    # recurrence step by step
+    sysv, P, side = reference_case(case)
     d = rhs_for_ones(sysv).to_array()
     rep = gmres(sysv, d, precond=P, tol=1e-6, side=side, maxit=maxit)
     assert rep.converged == (rep.iterations < maxit)
+    assert case != "ss-right-l6" or rep.iterations == min(maxit, 132)
     ref = reference_history(sysv, d, P, side, rep.iterations)
     np.testing.assert_allclose(rep.res_history, ref, rtol=1e-8, atol=0)
     if side == "right":  # the iterate assembled across the blocks
@@ -394,10 +408,14 @@ def test_workspace_peak():
     assert peak < basis + hessenberg + r_factor / 2
 
 
-def test_failed_confirm_across_blocks(monkeypatch):
-    # the first confirm, at step 139 of the 3-block none-l6 run, is told
-    # that the true residual failed: the solve goes on from the Hessenberg
-    # blocks the confirm read, and the next step confirms again and stops
+@pytest.mark.parametrize("case,steps", [("none-l6", 140),
+                                        ("ss-right-l6", 133)])
+def test_failed_confirm_across_blocks(monkeypatch, case, steps):
+    # the first confirm, in the middle of the third block, is told that the
+    # true residual failed: it settled the open columns, the solve goes on
+    # from the Hessenberg blocks (and, flexible, the Z blocks) the confirm
+    # read with new open columns in the same block, and the next step
+    # confirms again and stops
     real = gmres_mod.true_residual
     calls = []
 
@@ -406,12 +424,12 @@ def test_failed_confirm_across_blocks(monkeypatch):
         return 1.0 if len(calls) == 1 else real(*args)
 
     monkeypatch.setattr(gmres_mod, "true_residual", fail_first)
-    sysv = example1(6)
+    sysv, P, side = reference_case(case)
     d = rhs_for_ones(sysv).to_array()
-    rep = gmres(sysv, d, tol=1e-6)
-    assert rep.converged and rep.iterations == 140 and len(calls) == 2
-    assert rep.iterations > 2 * BASIS_BLOCK
-    ref = reference_history(sysv, d, None, "right", rep.iterations)
+    rep = gmres(sysv, d, precond=P, tol=1e-6)
+    assert rep.converged and rep.iterations == steps and len(calls) == 2
+    assert 2 * BASIS_BLOCK < rep.iterations - 1 < 3 * BASIS_BLOCK - 1
+    ref = reference_history(sysv, d, P, side, rep.iterations)
     np.testing.assert_allclose(rep.res_history, ref, rtol=1e-8, atol=0)
     assert rep.true_final_res == true_residual(sysv, rep.solution, d) < 1e-6
 
