@@ -66,8 +66,7 @@ def _add_case_args(p):
                         "(default 0.001)")
 
 
-def _add_precond_args(p):
-    p.add_argument("--precond", choices=PRECOND_KINDS, default="none")
+def _add_shift_args(p):
     _add_case_args(p)
     p.add_argument("--s", type=float, default=12.0)
     p.add_argument("--alpha", type=float, default=0.1)
@@ -84,13 +83,14 @@ def build_parser():
 
     p = sub.add_parser("solve", help="one (preconditioner, problem) run")
     _add_problem_args(p)
-    _add_precond_args(p)
+    p.add_argument("--precond", choices=PRECOND_KINDS, default="none")
+    _add_shift_args(p)
     _add_solver_args(p)
     p.add_argument("--report", metavar="PATH")
 
     p = sub.add_parser("compare", help="run a list of preconditioners")
     _add_problem_args(p)
-    _add_precond_args(p)
+    _add_shift_args(p)
     _add_solver_args(p)
     p.add_argument("--kinds", default="ss,rss,egss,pess,lpess",
                    help="comma-separated preconditioner kinds")
@@ -98,7 +98,8 @@ def build_parser():
 
     p = sub.add_parser("spectrum", help="eigenvalues and bound verdicts")
     _add_problem_args(p)
-    _add_precond_args(p)
+    p.add_argument("--precond", choices=PRECOND_KINDS, default="none")
+    _add_shift_args(p)
     p.add_argument("--eig-csv", metavar="PATH")
     p.add_argument("--report", metavar="PATH", help="bound-report JSON path")
 
@@ -116,7 +117,8 @@ def build_parser():
     p = sub.add_parser("sensitivity",
                        help="solution error under coupling-block noise")
     _add_problem_args(p)
-    _add_precond_args(p)
+    p.add_argument("--precond", choices=PRECOND_KINDS, default="none")
+    _add_shift_args(p)
     _add_solver_args(p)
     p.add_argument("--noise", default="5,10,15,20,25,30,35,40",
                    help="comma-separated noise percentages")
@@ -292,7 +294,7 @@ def cmd_spectrum(args):
     if args.eig_csv:
         spectral.write_eigenvalue_csv(spec, args.eig_csv)
     if args.report:
-        spectral.write_spectral_report(reports, args.report)
+        mmio.write_json(reports, args.report)
     return EXIT_OK
 
 

@@ -97,10 +97,21 @@ def _params_str(params: dict) -> str:
     return ";".join(f"{k}={v}" for k, v in sorted(params.items()))
 
 
-def _json_scalar(v):
-    """``json.dump``'s hook for what it cannot write: a numpy scalar as its
-    Python value, so ints stay ints; anything else as its string."""
-    return v.item() if isinstance(v, np.generic) else str(v)
+def _json_value(v):
+    """``json.dump``'s hook: a complex as {"re": ..., "im": ...}, a numpy
+    scalar as its Python value, so ints stay ints; TypeError otherwise."""
+    if isinstance(v, complex):
+        return {"re": v.real, "im": v.imag}
+    if isinstance(v, np.generic):
+        return v.item()
+    raise TypeError(f"{type(v).__name__} is not JSON serializable")
+
+
+def write_json(records, path):
+    """The dataclass ``records`` as one indented JSON list."""
+    with open(path, "w") as fh:
+        json.dump([asdict(r) for r in records], fh, indent=2,
+                  default=_json_value)
 
 
 CSV_COLUMNS = ["process", "problem", "size", "it", "res", "wall_seconds",
@@ -109,14 +120,12 @@ CSV_COLUMNS = ["process", "problem", "size", "it", "res", "wall_seconds",
 
 def write_report(records, path):
     """JSON when ``path`` ends in ``.json`` (any case), CSV otherwise."""
+    if str(path).lower().endswith(".json"):
+        return write_json(records, path)
     with open(path, "w", newline="") as fh:
-        if str(path).lower().endswith(".json"):
-            json.dump([asdict(r) for r in records], fh, indent=2,
-                      default=_json_scalar)
-        else:
-            w = csv.writer(fh)
-            w.writerow(CSV_COLUMNS)
-            for r in records:
-                w.writerow([r.process, r.problem, r.size, r.it,
-                            format_res(r.res), f"{r.wall_seconds:.3f}",
-                            _params_str(r.params)])
+        w = csv.writer(fh)
+        w.writerow(CSV_COLUMNS)
+        for r in records:
+            w.writerow([r.process, r.problem, r.size, r.it,
+                        format_res(r.res), f"{r.wall_seconds:.3f}",
+                        _params_str(r.params)])

@@ -21,8 +21,7 @@ of bound values; the choice is recorded in report metadata.
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -67,34 +66,34 @@ class BoundReport:
     metadata: dict = field(default_factory=dict)
 
 
-def preconditioned_spectrum(sys: SaddlePointSystem, precond=None) -> np.ndarray:
-    """Unordered complex eigenvalues of P^{-1} A (or of A without ``precond``,
-    a callable solving P W = R for a multi-column R).  ``solve_columns``
-    builds P^{-1} A from the sparse A and eig overwrites that one N x N
-    array; a LAPACK failure becomes ``ConvergenceFailure``."""
-    require_densifiable(sys)
-    M = (sys.matrix.toarray(order="F") if precond is None
-         else solve_columns(precond, sys.matrix))
+def _solved_eigvals(sys: SaddlePointSystem, order: int, solve, columns):
+    """eig of the order x order array ``solve_columns``(solve, columns()),
+    which it overwrites, refused above the densification guard before either
+    is called; a LAPACK failure becomes ``ConvergenceFailure``."""
+    require_densifiable(sys, order)
+    M = solve_columns(solve, columns())
     try:
         return sla.eigvals(M, overwrite_a=True)
     except sla.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise ConvergenceFailure(str(exc)) from exc
+
+
+def preconditioned_spectrum(sys: SaddlePointSystem, precond=None) -> np.ndarray:
+    """Unordered complex eigenvalues of P^{-1} A (or of A without ``precond``,
+    a callable solving P W = R for a multi-column R)."""
+    return _solved_eigvals(sys, sys.size, precond or (lambda R: R),
+                           lambda: sys.matrix)
 
 
 def shift_spectrum(sys: SaddlePointSystem, cfg: GssConfig) -> np.ndarray:
-    """nu = eig(A^{-1} Sigma) from ``solve_columns`` around the system's
+    """nu = eig(A^{-1} Sigma) from ``_solved_eigvals`` around the system's
     ``matrix_lu``, so that eig(P^{-1} A) = 1/(s + nu) and eig(Sigma^{-1} A)
     = 1/nu.  A dropped L1 zeroes n columns, so n zeros nu are left out and
-    eig runs on the (m+p) block, the order the guard reads; a LAPACK
-    failure becomes ``ConvergenceFailure``."""
+    eig runs on the (m+p) block, the order the guard reads."""
     k = 0 if cfg.is_pess else sys.n
-    require_densifiable(sys, sys.size - k)
-    lu = sys.matrix_lu
-    M = solve_columns(lambda R: lu.solve(R)[k:], sigma_matrix(sys, cfg)[:, k:])
-    try:
-        return sla.eigvals(M, overwrite_a=True)
-    except sla.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
-        raise ConvergenceFailure(str(exc)) from exc
+    return _solved_eigvals(sys, sys.size - k,
+                           lambda R: sys.matrix_lu.solve(R)[k:],
+                           lambda: sigma_matrix(sys, cfg)[:, k:])
 
 
 def s_critical(nu) -> float:
@@ -114,7 +113,9 @@ def scalar_extremes(sys: SaddlePointSystem, cfg: GssConfig) -> ScalarExtremes:
     """Generalized-eigenvalue extremes of the symmetric pairs behind the
     localization bounds.  xi and eta need an SPD L1; the vartheta / theta~
     pair covers the dropped-shift scheme.  The Schur-type matrices come from
-    ``precond.schur`` on the sparse B and C."""
+    ``precond.schur`` on the sparse B and C.  Refused before any work above
+    the densification guard on n with L1 (dense A) or m without."""
+    require_densifiable(sys, sys.n if cfg.lambda1 is not None else sys.m)
     # every shift passes require_spd (the symmetry and SPD test) before it
     # meets eigh, which reads one triangle and raises no typed error; L3 is
     # never solved with here, but it is the theta~ pencil's T
@@ -336,19 +337,6 @@ def condition_number(sys: SaddlePointSystem, precond=None) -> float:
 
 
 # -- serialization -------------------------------------------------------
-
-
-def _json_complex(v):
-    """``json.dump``'s hook: a complex as {"re": ..., "im": ...}."""
-    if isinstance(v, complex):
-        return {"re": v.real, "im": v.imag}
-    raise TypeError(f"{type(v).__name__} is not JSON serializable")
-
-
-def write_spectral_report(reports, path):
-    with open(path, "w") as fh:
-        json.dump([asdict(r) for r in reports], fh, indent=2,
-                  default=_json_complex)
 
 
 def write_eigenvalue_csv(spectrum, path):

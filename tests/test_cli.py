@@ -201,6 +201,27 @@ def test_compare_flow(tmp_path, capsys):
     assert all(float(printed_field(ln, "true_res")) < 1e-6 for ln in lines)
 
 
+def test_compare_refuses_precond(tmp_path, capsys):
+    # compare runs the kinds of --kinds and has no --precond to ignore; it
+    # keeps the case and shift options its kinds read
+    report = tmp_path / "r.json"
+    rc = main(["compare", *GEN, "--precond", "pess", "--report", str(report)])
+    assert rc == EXIT_USAGE
+    assert "unrecognized arguments: --precond pess" in capsys.readouterr().err
+    assert not report.exists()
+    shifts = ["--case", "II", "--lambda3-coef", "0.01", "--s", "5",
+              "--alpha", "1", "--beta", "2", "--gamma", "3"]
+    args = cli.build_parser().parse_args(
+        ["compare", *GEN, *shifts, "--report", str(report)])
+    assert (args.case, args.lambda3_coef, args.s, args.alpha, args.beta,
+            args.gamma) == ("II", 0.01, 5.0, 1.0, 2.0, 3.0)
+    assert not hasattr(args, "precond")
+    for command in ("solve", "spectrum", "sensitivity"):
+        args = cli.build_parser().parse_args(
+            [command, *GEN, "--precond", "pess", *shifts])
+        assert args.precond == "pess" and args.gamma == 3.0
+
+
 def test_compare_error_row_prints_nan(tmp_path, monkeypatch, capsys):
     def failing_build_bd(sys_):
         raise Singular("bd is singular")

@@ -312,19 +312,13 @@ def test_report_str(small_system):
     assert "converged" in text and "it=" in text
 
 
-def reference_history(sys_, d, precond, side, steps):
-    """Dense full GMRES from x0 = 0: modified Gram-Schmidt with full
-    reorthogonalization and an lstsq solve at every step; returns the
-    monitored relative residual after 0..steps steps."""
-    A = sys_.matrix.toarray()
-    P = (lambda r: r) if precond is None else precond
-    op = (lambda v: A @ P(v)) if side == "right" else (lambda v: P(A @ v))
-    r0 = d if side == "right" else P(d)
-    beta = np.linalg.norm(r0)
-    V = np.zeros((steps + 1, sys_.size))
+def reference_arnoldi(op, r0, steps):
+    """Dense Arnoldi from r0: modified Gram-Schmidt with full
+    reorthogonalization; returns the basis V (steps + 1 rows) and the
+    (steps + 1) x steps Hessenberg matrix H."""
+    V = np.zeros((steps + 1, len(r0)))
     H = np.zeros((steps + 1, steps))
-    V[0] = r0 / beta
-    hist = [1.0]
+    V[0] = r0 / np.linalg.norm(r0)
     for k in range(steps):
         w = op(V[k])
         for _ in range(2):
@@ -334,6 +328,21 @@ def reference_history(sys_, d, precond, side, steps):
                 w -= h * V[j]
         H[k + 1, k] = np.linalg.norm(w)
         V[k + 1] = w / H[k + 1, k]
+    return V, H
+
+
+def reference_history(sys_, d, precond, side, steps):
+    """Dense full GMRES from x0 = 0: ``reference_arnoldi`` and an lstsq
+    solve at every step; returns the monitored relative residual after
+    0..steps steps."""
+    A = sys_.matrix.toarray()
+    P = (lambda r: r) if precond is None else precond
+    op = (lambda v: A @ P(v)) if side == "right" else (lambda v: P(A @ v))
+    r0 = d if side == "right" else P(d)
+    beta = np.linalg.norm(r0)
+    _, H = reference_arnoldi(op, r0, steps)
+    hist = [1.0]
+    for k in range(steps):
         e1 = np.zeros(k + 2)
         e1[0] = beta
         y = lstsq(H[:k + 2, :k + 1], e1, lapack_driver="gelsy")[0]
@@ -381,6 +390,37 @@ def test_history_matches_dense_reference(case, maxit):
     np.testing.assert_allclose(rep.res_history, ref, rtol=1e-8, atol=0)
     if side == "right":  # the iterate assembled across the blocks
         assert rep.true_final_res == pytest.approx(ref[-1], rel=1e-6)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_iterate_across_blocks_matches_dense_reference(side):
+    """P^-1 r = r / w with w over 12 decades drives the second pass's
+    coefficients s_k to about 1e-6, so the settled columns of the third
+    block, and on the right its rows of Z, depend on ``settle``'s product
+    with the settled rows.  140 steps in, against the dense reference:
+    on the left the iterate is measured 8.3e-14 apart (at most 4.0e-13 for
+    maxit 129 to 144), and 1.1e-9 (at least 8.5e-10) with the product left
+    out; on the right the true residual is 6.0e-7 apart, relative (at most
+    that for maxit 129 to 140), and 9.2e3 with Z's product left out."""
+    sysv = example1(6)
+    w = np.logspace(0, 12, sysv.size)
+
+    def P(r):
+        return r / w
+
+    d = rhs_for_ones(sysv).to_array()
+    rep = gmres(sysv, d, precond=P, tol=1e-30, side=side, maxit=140)
+    assert rep.iterations == 140 > 2 * BASIS_BLOCK
+    if side == "right":
+        ref = reference_history(sysv, d, P, side, 140)
+        assert rep.true_final_res == pytest.approx(ref[-1], rel=1e-5)
+        return
+    A = sysv.matrix.toarray()
+    V, H = reference_arnoldi(lambda v: P(A @ v), P(d), 140)
+    e1 = np.zeros(141)
+    e1[0] = np.linalg.norm(P(d))
+    u = V[:140].T @ lstsq(H, e1, lapack_driver="gelsy")[0]
+    assert np.linalg.norm(rep.solution - u) < 1e-11 * np.linalg.norm(u)
 
 
 def test_workspace_peak():

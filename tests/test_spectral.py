@@ -21,11 +21,11 @@ from saddlekit.spectral import (BoundReport, InapplicableBound, analyze,
                                 mu_transform, pess_nonreal_bounds,
                                 pess_real_interval, preconditioned_spectrum,
                                 ScalarExtremes, scalar_extremes,
-                                shift_spectrum,
-                                write_eigenvalue_csv, write_spectral_report)
+                                shift_spectrum, write_eigenvalue_csv)
+from saddlekit.mmio import write_json
 from saddlekit.system import assemble
 
-from conftest import arpack_fails, random_system
+from conftest import arpack_fails, count_factors, random_system
 
 
 def pess_cfg(s, lam3=0.001):
@@ -151,11 +151,12 @@ def test_blocked_spectrum_memory_peak():
     assert peak < 1.5 * 8 * sysv.size ** 2
 
 
+def not_reached(*args):
+    raise AssertionError("work started above the densification guard")
+
+
 def test_densification_guard_comes_before_any_work(monkeypatch):
     sysv = example1(36)  # 5184 unknowns, above system.DENSIFY_LIMIT
-
-    def not_reached(*args):
-        raise AssertionError("work started above the densification guard")
 
     monkeypatch.setattr(spectral, "scalar_extremes", not_reached)
     msg = "system size 5184 exceeds densification guard 5000"
@@ -178,6 +179,35 @@ def test_densification_guard_reads_the_order_of_the_shift_eig(monkeypatch):
     monkeypatch.setattr(system, "DENSIFY_LIMIT", 31)
     with pytest.raises(ValueError, match="^dense block order 32 exceeds"):
         analyze(sysv, lpess_cfg(12.0))
+
+
+@pytest.mark.parametrize("kind", ["pess", "lpess"])
+def test_refusal_above_the_guard_makes_no_factor(monkeypatch, kind):
+    # the guard reads the order of the dense array before either spectrum
+    # makes the coefficient matrix's LU or A's factor
+    sysv = example1(4)
+    lus, a_factors = count_factors(monkeypatch, sysv.matrix)
+    monkeypatch.setattr(system, "DENSIFY_LIMIT", 31)
+    cfg = pess_cfg(12.0) if kind == "pess" else lpess_cfg(12.0)
+    with pytest.raises(ValueError, match="exceeds densification guard 31$"):
+        analyze(sysv, cfg)
+    with pytest.raises(ValueError, match="^system size 64 exceeds"):
+        preconditioned_spectrum(sysv)
+    assert lus == [] and a_factors == []
+
+
+def test_scalar_extremes_refuses_above_the_guard(monkeypatch):
+    """With L1 kept the dense A is n x n, without it the largest dense array
+    is the m x m Schur complement: a guard between m = 16 and n = 32 refuses
+    pess before any work and lets lpess through."""
+    sysv = example1(4)
+    monkeypatch.setattr(system, "DENSIFY_LIMIT", 20)
+    msg = "^dense block order 32 exceeds densification guard 20$"
+    with monkeypatch.context() as m, pytest.raises(ValueError, match=msg):
+        m.setattr(spectral, "require_spd", not_reached)
+        scalar_extremes(sysv, case_preset("II", sysv, s=12.0))
+    ex = scalar_extremes(sysv, lpess_cfg(12.0))
+    assert ex.xi_max is None and ex.vartheta_max > 0
 
 
 # -- scalar extremes vs brute force ---------------------------------------
@@ -483,13 +513,13 @@ def test_report_json_encodes_complex_only(tmp_path):
     # a planted violation: its complex eigenvalue is written as re/im
     rep = check_unit_disk(np.array([0.5 + 0.1j, 3.0 + 1.0j]), 1.0)
     path = tmp_path / "reports.json"
-    write_spectral_report([rep], path)
+    write_json([rep], path)
     (loaded,) = json.loads(path.read_text())
     assert loaded["holds"] is False
     assert loaded["violations"][0][0] == {"re": 3.0, "im": 1.0}
     bad = BoundReport("unit-disk", {}, True, (), {"tags": {"x"}})
     with pytest.raises(TypeError):
-        write_spectral_report([bad], path)
+        write_json([bad], path)
 
 
 def test_report_round_trip(small_system, tmp_path):
@@ -498,7 +528,7 @@ def test_report_round_trip(small_system, tmp_path):
     ex = scalar_extremes(small_system, cfg)
     reports = [check_unit_disk(spec, 2.0), check_real_interval(spec, ex, 2.0)]
     path = tmp_path / "reports.json"
-    write_spectral_report(reports, path)
+    write_json(reports, path)
     loaded = json.loads(path.read_text())
     assert len(loaded) == 2
     assert [(d["theorem"], d["holds"]) for d in loaded] == [
