@@ -182,7 +182,8 @@ def _gss_config(kind, sys_, args):
         cfg = problems.case_preset(args.case, sys_, args.s, args.lambda3_coef)
         if kind == "lpess":
             cfg = dataclasses.replace(cfg, lambda1=None)
-        return cfg, {"case": args.case, "s": args.s}
+        return cfg, {"case": args.case, "s": args.s,
+                     "lambda3_coef": args.lambda3_coef}
     # the half-shift kinds scale the case operands by their coefficients
     P, Q, W = problems.case_operands(args.case, sys_)
     cfg = precond.make_config(kind, alpha=args.alpha, beta=args.beta,
@@ -276,9 +277,12 @@ def cmd_compare(args):
 def cmd_spectrum(args):
     """The verdicts of a shift-splitting kind come from its config alone,
     so no P is built for one; bd is built only below the densification
-    guard."""
-    sys_, pid = _make_system(args)
+    guard.  No bound applies to none or bd, so they refuse ``--report``."""
     kind, reports = args.precond, ()
+    if args.report and kind not in precond.KINDS:
+        raise CliError(f"--report needs a shift-splitting --precond: "
+                       f"no bound applies to {kind}")
+    sys_, pid = _make_system(args)
     if kind in precond.KINDS:
         spec, _, reports = spectral.analyze(
             sys_, _gss_config(kind, sys_, args)[0])
@@ -347,7 +351,8 @@ def cmd_params(args):
             else _finite_list(args.phi_grid, "--phi-grid", "empty phi grid"))
     sys_, pid = _make_system(args)
     A, _, W = problems.case_operands("II", sys_)
-    lam3 = 1e-4 * W
+    coef = 1e-4
+    lam3 = coef * W
     est = params.estimate_params(sys_, lam3)
     print(f"s_est={est.s_est:.6g} beta_est={est.beta_est:.6g}")
     for k, v in est.norms.items():
@@ -362,7 +367,9 @@ def cmd_params(args):
         cfg = precond.make_config(args.preset.removesuffix("-II"),
                                   lambda1=A, lambda2=est.beta_est,
                                   lambda3=lam3, s=est.s_est)
-        _, record = _solve_with(args.preset, precond.build(sys_, cfg), {},
+        meta = {"s_est": est.s_est, "beta_est": est.beta_est,
+                "lambda3_coef": coef}
+        _, record = _solve_with(args.preset, precond.build(sys_, cfg), meta,
                                 sys_, pid, args)
         print(f"{args.preset} it={record.it} {_res_fields(record)}")
         if args.report:

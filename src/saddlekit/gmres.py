@@ -118,11 +118,6 @@ class SolveReport:
     n_precond: int
     phase_seconds: dict
 
-    def __str__(self):
-        tag = "converged" if self.converged else "stalled"
-        return (f"gmres {tag}: it={self.iterations} res={self.final_res:.4e} "
-                f"wall={self.wall_seconds:.3f}s")
-
 
 def true_residual(sys: SaddlePointSystem, u, d) -> float:
     """||A u - d||_2 / ||d||_2 on the flat vectors (||A u||_2 for d = 0)."""

@@ -68,8 +68,8 @@ def estimate_params(sys: SaddlePointSystem, lambda3) -> ParamEstimate:
         raise ValueError("degenerate zero norm in the balancing estimate")
     if min(sys.n, sys.m) < 2:
         raise ValueError("the balancing estimate needs n and m of at least 2")
-    ctl3c = spla.LinearOperator((sys.m, sys.m), dtype=np.float64,
-                                matvec=lambda x: C.T @ lam3_lu.solve(C @ x))
+    ctl3c = spla.LinearOperator(
+        (sys.m, sys.m), lambda x: C.T @ lam3_lu.solve(C @ x), dtype=np.float64)
     norm_ctl3c = norm2(ctl3c, symmetric=True)
     norm_a = norm2(A, symmetric=True)
     norm_b = norm2(B)

@@ -160,18 +160,6 @@ class GssPreconditioner:
 
     __call__ = apply
 
-    def apply_transpose(self, r):
-        """Solve P^T w = r."""
-        return self.lu.solve(r, trans="T")
-
-    def matvec(self, x):
-        """P x."""
-        return self.matrix @ x
-
-    def rmatvec(self, x):
-        """P^T x."""
-        return self.matrix.T @ x
-
     @property
     def factor_nnz(self):
         """Entries SuperLU stores for the LU factors (``lu.nnz``)."""
@@ -234,38 +222,21 @@ class BdPreconditioner:
     s_factor: CholeskyFactor
     build_seconds: float  # wall time of ``build_bd``
 
-    def _split(self, r):
-        """A's, S's and X's blocks of r."""
-        n, m = self.sys.n, self.sys.m
-        return np.split(np.asarray(r, dtype=np.float64), [n, n + m])
-
-    def _solve_s(self, rhs):
-        """S^{-1} rhs for one or more columns from S's lower factor."""
-        L = self.s_factor.lower
-        y = sla.solve_triangular(L, rhs, lower=True, check_finite=False)
-        return sla.solve_triangular(L.T, y, lower=False, check_finite=False)
-
     def apply(self, r):
         """Solve P w = r blockwise for a flat array r (optionally
         multi-column); ValueError on a non-finite r."""
-        ra, rs, rx = self._split(r)
+        n, m = self.sys.n, self.sys.m
+        ra, rs, rx = np.split(np.asarray(r, dtype=np.float64), [n, n + m])
         if not np.isfinite(r).all():
             raise ValueError("right-hand side has non-finite entries")
-        rhs = np.zeros(np.shape(r), order="F")  # [0; 0; rx], p >= 1 rows
-        rhs[-len(rx):] = rx
-        return np.concatenate([self.sys.a_lu.solve(ra), self._solve_s(rs),
-                               self.sys.matrix_lu.solve(rhs)[-len(rx):]])
-
-    def matvec(self, x):
-        """P x: A x1, L L^T x2 from S's factor and C S^{-1} C^T x3."""
-        xa, xs, xx = self._split(x)
-        A, C, L = self.sys.A, self.sys.C, self.s_factor.lower
-        return np.concatenate([A @ xa, L @ (L.T @ xs),
-                               C @ self._solve_s(C.T @ xx)])
+        rhs = np.zeros(np.shape(r), order="F")  # [0; 0; rx]
+        rhs[n + m:] = rx
+        wa, L = self.sys.a_lu.solve(ra), self.s_factor.lower
+        y = sla.solve_triangular(L, rs, lower=True, check_finite=False)
+        ws = sla.solve_triangular(L.T, y, lower=False, check_finite=False)
+        return np.concatenate([wa, ws, self.sys.matrix_lu.solve(rhs)[n + m:]])
 
     __call__ = apply
-    # every block is symmetric, so P^T = P
-    apply_transpose, rmatvec = apply, matvec
 
     @property
     def factor_nnz(self):

@@ -319,20 +319,20 @@ def analyze(sys: SaddlePointSystem, cfg: GssConfig):
 
 def condition_number(sys: SaddlePointSystem, precond=None) -> float:
     """Two-norm condition number sigma_max(M) sigma_max(M^{-1}) of
-    M = P^{-1} A, or of A itself without ``precond``.  Both singular values
-    come from ARPACK on sparse operators around the system's ``matrix_lu``,
-    so nothing is densified and no size limit applies."""
+    M = P^{-1} A for the shift-splitting P of ``build``, or of A itself
+    without ``precond``.  Both singular values come from ARPACK on sparse
+    operators around the system's ``matrix_lu`` and P's own ``lu`` and
+    ``matrix``, so nothing is densified and no size limit applies."""
     A, P, lu = sys.matrix, precond, sys.matrix_lu
 
-    def op(matvec, rmatvec):
-        return spla.LinearOperator(A.shape, matvec=matvec, rmatvec=rmatvec,
-                                   dtype=np.float64)
+    def op(fwd, adj):  # x -> M x and x -> M^T x
+        return spla.LinearOperator(A.shape, fwd, adj, dtype=np.float64)
 
     if P is None:
         return norm2(A) * norm2(op(lu.solve, lambda x: lu.solve(x, trans="T")))
-    M = op(lambda x: P.apply(A @ x), lambda x: A.T @ P.apply_transpose(x))
-    M_inv = op(lambda x: lu.solve(P.matvec(x)),
-               lambda x: P.rmatvec(lu.solve(x, trans="T")))
+    M = op(lambda x: P(A @ x), lambda x: A.T @ P.lu.solve(x, trans="T"))
+    M_inv = op(lambda x: lu.solve(P.matrix @ x),
+               lambda x: P.matrix.T @ lu.solve(x, trans="T"))
     return norm2(M) * norm2(M_inv)
 
 

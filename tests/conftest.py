@@ -26,6 +26,13 @@ def random_system(rng, n=12, m=8, p=5, spd_shift=0.5):
     return assemble(sp.csr_matrix(A), sp.csr_matrix(B), sp.csr_matrix(C))
 
 
+def bd_blocks(sysv):
+    """A, S = B A^-1 B^T and X = C S^-1 C^T, formed densely."""
+    A, B, C = (M.toarray() for M in (sysv.A, sysv.B, sysv.C))
+    S = B @ np.linalg.solve(A, B.T)
+    return A, S, C @ np.linalg.solve(S, C.T)
+
+
 def iteration_matrix_radius(sys, precond):
     """rho(I - P^{-1} A) by densifying the preconditioned operator."""
     PA = precond.apply(sys.matrix.toarray())

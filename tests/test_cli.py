@@ -113,6 +113,9 @@ def test_solve_json_report(tmp_path):
     assert payload[0]["process"] == "lpess" and payload[0]["converged"]
     params = payload[0]["params"]
     assert params["true_res"] < 1e-6
+    # every setting the shifts were made from
+    assert (params["case"], params["s"], params["lambda3_coef"]) == (
+        "II", 13.0, 0.001)
     # one apply of each per step, plus the confirming residual; from zero,
     # r0 is d, and the iterate is built from the kept P^-1 of the basis
     assert (params["n_matvec"], params["n_precond"]) == (payload[0]["it"] + 1,
@@ -340,6 +343,25 @@ def test_spectrum_eigenvalue_count(kind, what, capsys):
     assert rc == EXIT_OK
     out = capsys.readouterr().out
     assert out == f"gen-l3: 36 eigenvalues of the {what} operator\n"
+
+
+@pytest.mark.parametrize("kind", ["none", "bd"])
+def test_spectrum_report_needs_a_bound(kind, tmp_path, monkeypatch, capsys):
+    """No bound applies to none or bd: --report is refused before the
+    system is made, and --eig-csv still writes their spectrum."""
+    report, eig_csv = tmp_path / "bounds.json", tmp_path / "eigs.csv"
+    monkeypatch.setattr(cli, "_make_system",
+                        lambda args: pytest.fail("made the system"))
+    rc = main(["spectrum", *GEN, "--precond", kind, "--report", str(report)])
+    assert rc == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("error: --report needs a shift-splitting "
+                                 f"--precond: no bound applies to {kind}\n")
+    assert not report.exists()
+    monkeypatch.undo()
+    rc = main(["spectrum", *GEN, "--precond", kind, "--eig-csv", str(eig_csv)])
+    assert rc == EXIT_OK
+    assert len(eig_csv.read_text().splitlines()) == 1 + 36
 
 
 def test_sweep_s_flow(tmp_path, capsys):
@@ -573,7 +595,8 @@ def test_params_preset_json_report(tmp_path, capsys):
     rc = main(["params", *GEN, "--preset", "pess-II",
                "--report", str(report)])
     assert rc in (EXIT_OK, EXIT_NOCONV)
-    out = capsys.readouterr().out.splitlines()[-1]
+    out_all = capsys.readouterr().out.splitlines()
+    out = out_all[-1]
     [row] = json.loads(report.read_text())
     assert row["process"] == "pess-II"
     assert type(row["it"]) is int
@@ -583,6 +606,11 @@ def test_params_preset_json_report(tmp_path, capsys):
     assert type(params["factor_nnz"]) is int and params["factor_nnz"] > 0
     assert type(params["true_res"]) is float
     assert type(params["build_seconds"]) is float
+    # the estimates and the L3 coefficient the preset solved with
+    printed = dict(kv.split("=") for kv in out_all[0].split())
+    for k in ("s_est", "beta_est"):
+        assert params[k] == pytest.approx(float(printed[k]), rel=1e-5)
+    assert params["lambda3_coef"] == 1e-4
 
 
 def test_params_report_needs_preset(tmp_path, capsys):

@@ -306,12 +306,6 @@ def test_phase_seconds(small_system, kind, side):
     assert (rep.phase_seconds["precond_apply"] == 0.0) == (P is None)
 
 
-def test_report_str(small_system):
-    rep = gmres(small_system, rhs_for_ones(small_system), tol=1e-6)
-    text = str(rep)
-    assert "converged" in text and "it=" in text
-
-
 def reference_arnoldi(op, r0, steps):
     """Dense Arnoldi from r0: modified Gram-Schmidt with full
     reorthogonalization; returns the basis V (steps + 1 rows) and the

@@ -3,6 +3,7 @@ every module-level definition is referenced somewhere, and every name the
 README gives as `module.name` exists."""
 
 import ast
+import dataclasses
 import importlib
 import re
 from collections import Counter
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import saddlekit
+from saddlekit import precond
 
 PACKAGE = Path(saddlekit.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py")
@@ -106,10 +108,17 @@ def test_dead_definition_detected():
 
 def test_readme_names_resolve():
     """Each backticked `module.name` in README.md whose module is one of the
-    package's is an attribute of ``saddlekit.<module>``."""
+    package's is an attribute of ``saddlekit.<module>``, and each backticked
+    `P.name` an attribute or field of a built preconditioner."""
+    readme = (ROOT / "README.md").read_text()
     modules = {p.stem for p in MODULES}
-    refs = [(mod, name) for mod, name in re.findall(
-        r"`(\w+)\.(\w+)`", (ROOT / "README.md").read_text()) if mod in modules]
+    refs = [(mod, name) for mod, name in re.findall(r"`(\w+)\.(\w+)`", readme)
+            if mod in modules]
     stale = [f"{mod}.{name}" for mod, name in refs
              if not hasattr(importlib.import_module(f"saddlekit.{mod}"), name)]
-    assert refs and stale == []
+    built = (precond.GssPreconditioner, precond.BdPreconditioner)
+    p_names = re.findall(r"`P\.(\w+)", readme)
+    stale += [f"P.{name}" for name in p_names if not any(
+        hasattr(cls, name) or name in {f.name for f in dataclasses.fields(cls)}
+        for cls in built)]
+    assert refs and p_names and stale == []

@@ -161,8 +161,8 @@ def test_readers_share_the_system_factors(monkeypatch):
     sysv = example1(3)
     lus, a_factors = count_factors(monkeypatch, sysv.matrix)
     cfg = case_preset("II", sysv, s=13.0)
-    P = build_bd(sysv)
-    condition_number(sysv, P)
+    build_bd(sysv)
+    condition_number(sysv)
     shift_spectrum(sysv, cfg)
     scalar_extremes(sysv, cfg)
     assert validate(sysv).ok
