@@ -70,6 +70,15 @@ and every settle, and the residual confirms, each of which assembles an
 iterate and applies the operator to it.  The phases sum to at most
 ``wall_seconds``.
 
+``stationary`` runs the paper's iterative process u <- u + P^{-1}(d - A u)
+with a built P, the callable ``precond``, and returns a ``SolveReport``.
+With A = P - Q it converges iff rho(P^{-1} Q) < 1, which
+``spectral.convergence_predicate`` decides.  Its history is the relative
+true residual ||d - A u|| / ||d|| of each iterate, which a right solve
+monitors too, so ``side`` is "right" and ``true_final_res`` is
+``final_res``.  Each residual takes one operator apply and each step one
+preconditioner apply; the other two phases read 0.
+
 The basis, the z_j and the Hessenberg matrix are allocated in
 ``BASIS_BLOCK``-row blocks as the basis grows, never sized from ``maxit``
 and never copied.  A basis block holds BASIS_BLOCK vectors plus one spare
@@ -94,6 +103,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import drot, dtrsm, dtrsv
 
+from .dense import ConvergenceFailure
 from .system import (BlockVector, SaddlePointSystem, _check_tol, _flat,
                      operator_apply)
 
@@ -102,6 +112,7 @@ BASIS_BLOCK = 64
 PHASES = ("operator_apply", "precond_apply", "orthogonalize", "confirm")
 # Breakdown: the new direction is this small relative to ||Op(v_k)||.
 BREAKDOWN = 1e-14
+DIVERGENCE_THRESHOLD = 1e12
 
 
 @dataclass(frozen=True)
@@ -117,6 +128,10 @@ class SolveReport:
     n_matvec: int
     n_precond: int
     phase_seconds: dict
+
+
+class Diverged(ConvergenceFailure):
+    """The fixed-point residual blew past the divergence threshold."""
 
 
 def true_residual(sys: SaddlePointSystem, u, d) -> float:
@@ -398,3 +413,42 @@ def gmres(sys: SaddlePointSystem, d, precond=None, tol=1e-6, maxit=7000,
 
     lap("orthogonalize")
     return report(converged, it, x, true_res)
+
+
+def stationary(sys: SaddlePointSystem, d, precond, tol=1e-6, maxit=20000,
+               x0=None) -> SolveReport:
+    """Run u <- u + P^{-1}(d - A u), P^{-1} r = ``precond``(r), from zero or
+    ``x0`` until the relative true residual is below ``tol`` or ``maxit``
+    steps are taken.  Raises ``Diverged`` past ``DIVERGENCE_THRESHOLD``,
+    and ``gmres``'s ``ValueError`` on a bad ``tol``, ``maxit``, d or x0."""
+    _check_tol(tol)
+    if maxit < 1:
+        raise ValueError(f"maxit must be at least 1, got {maxit}")
+    t0 = time.perf_counter()
+    d = _flat("rhs", d, sys.size)
+    x = np.zeros(sys.size) if x0 is None else _flat("x0", x0, sys.size)
+    phases = dict.fromkeys(PHASES, 0.0)
+
+    def timed(phase, f, *args):
+        mark = time.perf_counter()
+        out = f(*args)
+        phases[phase] += time.perf_counter() - mark
+        return out
+
+    nd = np.linalg.norm(d) or 1.0
+    history = []
+    for it in range(maxit + 1):
+        r = d - timed("operator_apply", operator_apply, sys, x)
+        res = float(np.linalg.norm(r) / nd)
+        history.append(res)
+        if res < tol:
+            break
+        if res > DIVERGENCE_THRESHOLD:
+            raise Diverged(f"residual {res:.3e} exceeded "
+                           f"{DIVERGENCE_THRESHOLD:.0e} after {it} iterations")
+        if it == maxit:
+            break
+        x = x + timed("precond_apply", precond, r)
+    return SolveReport(res < tol, it, res, np.asarray(history),
+                       time.perf_counter() - t0, x, "right", res, it + 1, it,
+                       phases)

@@ -102,6 +102,23 @@ def s_critical(nu) -> float:
     return float(0.5 - np.min(np.real(nu)))
 
 
+@dataclass(frozen=True)
+class PredicateReport:
+    holds: bool
+    s_critical: float
+
+
+def convergence_predicate(sys: SaddlePointSystem,
+                          cfg: GssConfig) -> PredicateReport:
+    """Whether the stationary iteration converges: s > ``s_critical`` of
+    ``shift_spectrum``, for an SPD Sigma (ValueError without L1)."""
+    if not cfg.is_pess:
+        raise ValueError("predicate needs an SPD (1,1) shift")
+    require_spd(sigma_matrix(sys, cfg), "Sigma")
+    s_crit = s_critical(shift_spectrum(sys, cfg))
+    return PredicateReport(bool(cfg.s > s_crit), s_crit)
+
+
 def _pencil_extremes(S, T):
     """Smallest and largest eigenvalue of T^{-1} S for a dense symmetric S
     and a sparse SPD T already passed through ``require_spd``."""

@@ -14,14 +14,14 @@ Criteria:
 import numpy as np
 import pytest
 
-from saddlekit.gmres import gmres
+from saddlekit.gmres import Diverged, gmres, stationary
 from saddlekit.params import estimate_params, phi, phi_minimizer
 from saddlekit.precond import (KINDS, build, build_bd, make_config,
                                splitting_residual)
 from saddlekit.problems import NoiseSpec, case_preset, example1, perturb
 from saddlekit.spectral import (analyze, condition_number,
+                                convergence_predicate,
                                 preconditioned_spectrum)
-from saddlekit.stationary import Diverged, convergence_predicate, pess_iterate
 from saddlekit.system import rhs_for_ones
 
 from conftest import iteration_matrix_radius, random_system
@@ -353,7 +353,8 @@ def test_criterion6_stationary_equivalence():
         lam3 = 1e-4 if s < 0.5 else 0.001
         cfg = make_config("pess", lambda1=1.0, lambda2=1.0, lambda3=lam3, s=s)
         pred = convergence_predicate(sysv, cfg)
-        rho = iteration_matrix_radius(sysv, build(sysv, cfg))
+        P = build(sysv, cfg)
+        rho = iteration_matrix_radius(sysv, P)
         if abs(rho - 1.0) < 1e-8:
             continue
         if pred.holds != (rho < 1.0):
@@ -362,8 +363,8 @@ def test_criterion6_stationary_equivalence():
         if not pred.holds:
             violations_seen += 1
             try:
-                rep = pess_iterate(sysv, cfg, rhs_for_ones(sysv), tol=1e-8,
-                                   maxit=5000)
+                rep = stationary(sysv, rhs_for_ones(sysv), P, tol=1e-8,
+                                 maxit=5000)
             except Diverged:
                 continue
             if rep.converged:
@@ -371,8 +372,8 @@ def test_criterion6_stationary_equivalence():
                                 f"the iteration converged")
             continue
         if rho < 0.999:  # enough headroom for a finite-iteration confirmation
-            rep = pess_iterate(sysv, cfg, rhs_for_ones(sysv), tol=1e-8,
-                               maxit=200000)
+            rep = stationary(sysv, rhs_for_ones(sysv), P, tol=1e-8,
+                             maxit=200000)
             if not rep.converged:
                 failures.append(f"seed {seed} s={s:g}: predicate holds but "
                                 f"the iteration stalled")
@@ -413,6 +414,15 @@ def test_criterion6_phi_quadratic():
 
 
 def test_criterion6_gmres_monotonicity():
+    # its own runs, so that the check stands when selected alone: every
+    # kind, none and bd included, on both sides at two small sizes
+    settings = dict(lambda1=1.0, lambda2=1.0, lambda3=0.001, s=1.0,
+                    alpha=0.1, beta=1.0, gamma=0.001)
+    for sysv in (example1(3), example1(4)):
+        shifts = [build(sysv, make_config(k, **settings)) for k in KINDS]
+        for P in [None, build_bd(sysv), *shifts]:
+            for side in ("right", "left"):
+                run(sysv, P, side=side)
     failures = []
     if len(MONITORED_RUNS) < 20:
         failures.append(f"only {len(MONITORED_RUNS)} runs were recorded")

@@ -1,52 +1,108 @@
-"""Stationary fixed-point scheme: convergence against the spectral-radius
-criterion and against the closed-form predicate on the scaled spectrum."""
+"""Stationary fixed-point scheme: the process ``gmres.stationary`` with a
+built P, its ``SolveReport``, and its convergence against the
+spectral-radius criterion and the closed-form predicate on the scaled
+spectrum."""
+
+import importlib
 
 import numpy as np
 import pytest
 
+from saddlekit import precond, system
+from saddlekit.gmres import PHASES, Diverged, stationary
 from saddlekit.precond import build, make_config, sigma_matrix
 from saddlekit.problems import case_preset, example1
-from saddlekit.spectral import analyze, s_critical, shift_spectrum
-from saddlekit.stationary import Diverged, convergence_predicate, pess_iterate
+from saddlekit.spectral import (analyze, convergence_predicate, s_critical,
+                                shift_spectrum)
 from saddlekit.system import rhs_for_ones
 
 from conftest import iteration_matrix_radius, random_system
+
+gmres_mod = importlib.import_module("saddlekit.gmres")
 
 
 def pess_cfg(s, lam3=0.001):
     return make_config("pess", lambda1=1.0, lambda2=1.0, lambda3=lam3, s=s)
 
 
+def iterate(sys, cfg, d, **kwargs):
+    """The process with the pess preconditioner of ``cfg``, built once."""
+    return stationary(sys, d, build(sys, cfg), **kwargs)
+
+
 def test_iteration_recovers_ones(small_system):
     cfg = pess_cfg(2.0)
-    rep = pess_iterate(small_system, cfg, rhs_for_ones(small_system),
-                       tol=1e-10, maxit=50000)
+    rep = iterate(small_system, cfg, rhs_for_ones(small_system), tol=1e-10,
+                  maxit=50000)
     assert rep.converged
     assert np.allclose(rep.solution, np.ones(small_system.size), atol=1e-6)
     assert rep.final_res < 1e-10
-    assert np.all(np.isfinite(rep.error_history))
+    assert np.all(np.isfinite(rep.res_history))
 
 
 def test_iteration_accepts_flat_rhs(small_system):
     cfg = pess_cfg(2.0)
     d = rhs_for_ones(small_system).to_array()
-    rep = pess_iterate(small_system, cfg, d, tol=1e-8, maxit=50000)
+    rep = iterate(small_system, cfg, d, tol=1e-8, maxit=50000)
     assert rep.converged
 
 
 def test_warm_start_zero_iterations(small_system):
     cfg = pess_cfg(2.0)
-    rep = pess_iterate(small_system, cfg, rhs_for_ones(small_system),
-                       u0=np.ones(small_system.size), tol=1e-8)
+    rep = iterate(small_system, cfg, rhs_for_ones(small_system),
+                  x0=np.ones(small_system.size), tol=1e-8)
     assert rep.converged and rep.iterations == 0
 
 
 def test_maxit_reached(small_system):
     cfg = pess_cfg(2.0)
-    rep = pess_iterate(small_system, cfg, rhs_for_ones(small_system),
-                       tol=1e-14, maxit=3)
+    rep = iterate(small_system, cfg, rhs_for_ones(small_system), tol=1e-14,
+                  maxit=3)
     assert not rep.converged
     assert rep.iterations == 3
+
+
+@pytest.fixture(params=["small_system", "example1-pess-I"])
+def built(request, small_system):
+    """(system, its P built once): ``small_system`` with pess at s = 2, and
+    example1(4) with the Case I preset at s = 1."""
+    if request.param == "small_system":
+        return small_system, build(small_system, pess_cfg(2.0))
+    sysv = example1(4)
+    return sysv, build(sysv, case_preset("I", sysv, s=1.0))
+
+
+def test_report_counts_and_times_the_applies(built, monkeypatch):
+    """n_matvec and n_precond are the applies the process made, every phase
+    of ``gmres.PHASES`` is reported within the wall time, and the history
+    ends at the true residual of the returned iterate."""
+    sysv, P = built
+    matvecs, applies = [], []
+    apply_op = gmres_mod.operator_apply
+    monkeypatch.setattr(gmres_mod, "operator_apply", lambda sys_, u:
+                        matvecs.append(u) or apply_op(sys_, u))
+    rep = stationary(sysv, rhs_for_ones(sysv),
+                     lambda r: applies.append(r) or P(r), tol=1e-8)
+    assert rep.converged and rep.iterations > 0 and rep.side == "right"
+    assert (rep.n_matvec, rep.n_precond) == (len(matvecs), len(applies))
+    assert set(rep.phase_seconds) == set(PHASES)
+    assert sum(rep.phase_seconds.values()) <= rep.wall_seconds
+    assert rep.res_history[-1] == rep.final_res == rep.true_final_res
+    assert len(rep.res_history) == rep.iterations + 1
+
+
+def test_process_never_factors(built, monkeypatch):
+    """The process applies the P it is given: with ``build`` and every
+    sparse LU refused it still converges."""
+    sysv, P = built
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the process factored")
+
+    monkeypatch.setattr(precond, "build", refuse)
+    for module in (precond, system):
+        monkeypatch.setattr(module, "splu", refuse)
+    assert stationary(sysv, rhs_for_ones(sysv), P, tol=1e-8).converged
 
 
 @pytest.mark.parametrize("case, message", [
@@ -55,17 +111,18 @@ def test_maxit_reached(small_system):
         ("tol-negative", "^tol must be positive and finite, got -1.0$"),
         ("rhs-nan", "^rhs has non-finite entries$"),
         ("rhs-short", "^rhs length does not match system size$"),
-        ("u0-nan", "^u0 has non-finite entries$")]])
+        ("u0-nan", "^x0 has non-finite entries$"),
+        ("maxit-negative", "^maxit must be at least 1, got -1$")]])
 def test_bad_inputs_raise_as_in_gmres(small_system, case, message):
-    # the parent ran all maxit steps on each, or failed in a broadcast
+    # each is refused before the first step, with gmres's message
     d = rhs_for_ones(small_system).to_array()
     bad = d.copy()
     bad[0] = np.nan
     kwargs = {"tol-nan": dict(tol=np.nan), "tol-negative": dict(tol=-1.0),
               "rhs-nan": dict(d=bad), "rhs-short": dict(d=d[:-1]),
-              "u0-nan": dict(u0=bad)}[case]
+              "u0-nan": dict(x0=bad), "maxit-negative": dict(maxit=-1)}[case]
     with pytest.raises(ValueError, match=message):
-        pess_iterate(small_system, pess_cfg(2.0), **{"d": d, **kwargs})
+        iterate(small_system, pess_cfg(2.0), **{"d": d, **kwargs})
 
 
 def test_divergence_raises(small_system):
@@ -74,8 +131,7 @@ def test_divergence_raises(small_system):
     pred = convergence_predicate(small_system, cfg)
     assert not pred.holds
     with pytest.raises(Diverged):
-        pess_iterate(small_system, cfg, rhs_for_ones(small_system),
-                     maxit=100000)
+        iterate(small_system, cfg, rhs_for_ones(small_system), maxit=100000)
 
 
 def test_predicate_requires_symmetric_scheme(small_system):
@@ -199,6 +255,6 @@ def test_s_critical_separates_divergence_on_example1():
     assert 0.49 < s_crit <= 0.5
     d = rhs_for_ones(sysv)
     with pytest.raises(Diverged):
-        pess_iterate(sysv, case_preset("I", sysv, s=s_crit - 0.01), d)
-    rep = pess_iterate(sysv, case_preset("I", sysv, s=s_crit + 0.01), d)
+        iterate(sysv, case_preset("I", sysv, s=s_crit - 0.01), d)
+    rep = iterate(sysv, case_preset("I", sysv, s=s_crit + 0.01), d)
     assert rep.converged
