@@ -1,7 +1,8 @@
 """Typed errors and the kernels that carry them.
 
 ``require_spd`` is the one symmetry and SPD test of an operand: a sparse
-L D L^T sign test that returns the factor.  ``CholeskyFactor`` holds the
+L D L^T sign test that returns the factor; ``sparse_lu`` is every other
+SuperLU factor, failing as ``Singular``.  ``CholeskyFactor`` holds the
 dense lower factor of bd's S; ``norm2`` turns an ARPACK failure into
 ``ConvergenceFailure``.  Everything else, bd's dense Cholesky included,
 calls numpy/scipy directly.
@@ -52,6 +53,14 @@ def require_spd(M, what):
     if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0)):
         raise NotPositiveDefinite(f"{what} is not positive definite")
     return lu
+
+
+def sparse_lu(M, what):
+    """SuperLU factor of the sparse M, or ``Singular`` naming ``what``."""
+    try:
+        return splu(M)
+    except RuntimeError as exc:
+        raise Singular(f"{what} is singular: {exc}") from exc
 
 
 @dataclass(frozen=True)

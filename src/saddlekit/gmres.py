@@ -104,7 +104,7 @@ import numpy as np
 from scipy.linalg.blas import drot, dtrsm, dtrsv
 
 from .dense import ConvergenceFailure
-from .system import (BlockVector, SaddlePointSystem, _check_tol, _flat,
+from .system import (BlockVector, SaddlePointSystem, _check_tol_maxit, _flat,
                      operator_apply)
 
 BASIS_BLOCK = 64
@@ -154,9 +154,7 @@ def gmres(sys: SaddlePointSystem, d, precond=None, tol=1e-6, maxit=7000,
     """
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
-    _check_tol(tol)
-    if maxit < 1:
-        raise ValueError(f"maxit must be at least 1, got {maxit}")
+    _check_tol_maxit(tol, maxit)
     t0 = time.perf_counter()
     N = sys.size
     d = _flat("rhs", d, N)
@@ -421,9 +419,7 @@ def stationary(sys: SaddlePointSystem, d, precond, tol=1e-6, maxit=20000,
     ``x0`` until the relative true residual is below ``tol`` or ``maxit``
     steps are taken.  Raises ``Diverged`` past ``DIVERGENCE_THRESHOLD``,
     and ``gmres``'s ``ValueError`` on a bad ``tol``, ``maxit``, d or x0."""
-    _check_tol(tol)
-    if maxit < 1:
-        raise ValueError(f"maxit must be at least 1, got {maxit}")
+    _check_tol_maxit(tol, maxit)
     t0 = time.perf_counter()
     d = _flat("rhs", d, sys.size)
     x = np.zeros(sys.size) if x0 is None else _flat("x0", x0, sys.size)

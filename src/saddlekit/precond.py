@@ -24,9 +24,9 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.linalg import splu
 
-from .dense import CholeskyFactor, NotPositiveDefinite, Singular, require_spd
+from .dense import (CholeskyFactor, NotPositiveDefinite, Singular, require_spd,
+                    sparse_lu)
 from .system import SaddlePointSystem
 
 
@@ -171,19 +171,18 @@ def build(sys: SaddlePointSystem, cfg: GssConfig) -> GssPreconditioner:
     t0 = perf_counter()
     require_spd(operand_sparse(cfg.lambda3, sys.p), "lambda3")
     P = gss_matrix(sys, cfg)
-    try:
-        lu = splu(P)
-    except RuntimeError as exc:
-        raise Singular(f"preconditioner is singular: {exc}") from exc
-    return GssPreconditioner(matrix=P, lu=lu, build_seconds=perf_counter() - t0)
+    return GssPreconditioner(matrix=P, lu=sparse_lu(P, "preconditioner"),
+                             build_seconds=perf_counter() - t0)
 
 
 # -- exact block diagonal baseline -------------------------------------
 
 
-# Columns per solve.  SuperLU's multi-column solve with A's factor at l=32
-# (2-core host, 1 BLAS thread) took 100 ms for 1,024 columns fed 64 at a
-# time and 234 ms fed all at once; widths 16 to 128 measured within 7 %.
+# Columns per solve.  Medians of 5 runs, ms, widths 8/16/32/64 (2-core host,
+# 1 BLAS thread): schur(B, A^{-1}) 58.7/67.7/68.4/68.9 at l=32, 324/376/362/386
+# at l=48; pess-II's P^{-1} A columns 60.3/54.6/51.7/50.3 at l=16, 1363/1281/
+# 1280/1249 at l=32.  The P^{-1} A callers (spectra) prefer 64; a width per
+# caller would be a knob for about 10 ms of compare-l32's setup.
 BLOCK_COLUMNS = 64
 
 

@@ -17,9 +17,8 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
-from .dense import NotPositiveDefinite, Singular, require_spd
+from .dense import NotPositiveDefinite, require_spd, sparse_lu
 
 DENSIFY_LIMIT = 5000
 
@@ -80,10 +79,7 @@ class SaddlePointSystem:
     @cached_property
     def matrix_lu(self):
         """Sparse LU of the coefficient matrix; ``Singular`` if singular."""
-        try:
-            return splu(self.matrix.tocsc())
-        except RuntimeError as exc:
-            raise Singular(f"coefficient matrix is singular: {exc}") from exc
+        return sparse_lu(self.matrix.tocsc(), "coefficient matrix")
 
 
 def _canonical(M) -> sp.csr_matrix:
@@ -127,10 +123,12 @@ def operator_apply(sys: SaddlePointSystem, u):
     return sys.matrix @ np.asarray(u, dtype=np.float64)
 
 
-def _check_tol(tol):
-    """ValueError unless the solve tolerance is positive and finite."""
+def _check_tol_maxit(tol, maxit):
+    """ValueError unless tol is positive and finite and maxit at least 1."""
     if not (tol > 0 and np.isfinite(tol)):
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    if maxit < 1:
+        raise ValueError(f"maxit must be at least 1, got {maxit}")
 
 
 def _flat(name, vec, N):

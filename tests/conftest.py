@@ -11,7 +11,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import saddlekit
-from saddlekit import precond, spectral, system
+from saddlekit import dense, precond, spectral, system
 from saddlekit.dense import require_spd
 from saddlekit.system import assemble
 
@@ -64,8 +64,7 @@ def count_factors(monkeypatch, matrix):
             a_factors.append(M)
         return require_spd(M, what)
 
-    for module in (system, precond):
-        monkeypatch.setattr(module, "splu", lu, raising=False)
+    monkeypatch.setattr(dense, "splu", lu)
     for module in (system, precond, spectral):
         monkeypatch.setattr(module, "require_spd", spd)
     return lus, a_factors

@@ -296,6 +296,15 @@ EXPECTED_THEOREMS = {"pess": KEEPS_L1, "ss": KEEPS_L1, "egss": KEEPS_L1,
                      "lpess": DROPS_L1, "rss": DROPS_L1, "rpgss": DROPS_L1}
 
 
+def expected_violations(kind, n):
+    """(theorem, violation count) of each report at the CLI's defaults on a
+    system with n x-unknowns: rss drops L1 at s = 1/2, so its n eigenvalues
+    lambda = 1/s = 2 lie on the unit circle around 1, outside the open disk;
+    every other report holds."""
+    return [(t, n if kind == "rss" and t == "unit-disk" else 0)
+            for t in EXPECTED_THEOREMS[kind]]
+
+
 @pytest.mark.parametrize("case", ["I", "II"])
 @pytest.mark.parametrize("kind", precond.KINDS)
 def test_analyze_picks_checks_from_the_config(kind, case, tiny_example):
@@ -305,9 +314,13 @@ def test_analyze_picks_checks_from_the_config(kind, case, tiny_example):
     cfg, _ = cli._gss_config(kind, tiny_example, args)
     spec, ext, reports = analyze(tiny_example, cfg)
     assert spec.shape == (tiny_example.size,)
-    assert tuple(r.theorem for r in reports) == EXPECTED_THEOREMS[kind]
+    assert [(r.theorem, len(r.violations)) for r in reports] == (
+        expected_violations(kind, tiny_example.n))
     assert ext is not None
-    assert all(r.holds for r in reports)
+    assert all(r.holds == (not r.violations) for r in reports)
+    # the circle's points are violations at margin 0
+    assert all(v == 2.0 and margin == 0.0
+               for r in reports for v, margin in r.violations)
 
 
 def refuse_to_build(*args):
@@ -316,13 +329,15 @@ def refuse_to_build(*args):
 
 @pytest.mark.parametrize("case", ["I", "II"])
 @pytest.mark.parametrize("kind", precond.KINDS)
-def test_spectrum_builds_no_preconditioner(kind, case, monkeypatch, capsys):
+def test_spectrum_builds_no_preconditioner(kind, case, tiny_example,
+                                           monkeypatch, capsys):
     # the verdicts come from the config alone
     monkeypatch.setattr(precond, "build", refuse_to_build)
     rc = main(["spectrum", *GEN, "--precond", kind, "--case", case])
     assert rc == EXIT_OK
     assert capsys.readouterr().out == "".join(
-        f"{t}: holds (0 violations)\n" for t in EXPECTED_THEOREMS[kind])
+        f"{t}: {'VIOLATED' if k else 'holds'} ({k} violations)\n"
+        for t, k in expected_violations(kind, tiny_example.n))
 
 
 @pytest.mark.parametrize("kind", ["pess", "bd"])

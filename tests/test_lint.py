@@ -1,6 +1,7 @@
 """Static checks on the package source: every imported name is used,
-every module-level definition is referenced somewhere, and every name the
-README gives as `module.name` exists."""
+every module-level definition is referenced somewhere, scipy.io is loaded
+only by the Matrix Market functions, and every name the README gives as
+`module.name` exists."""
 
 import ast
 import dataclasses
@@ -47,6 +48,30 @@ def test_no_unused_imports(path):
 def test_unused_import_detected():
     src = "import os\nimport numpy as np\nfrom math import pi, tau\nnp.sqrt(pi)\n"
     assert unused_imports(src) == [(1, "os"), (3, "tau")]
+
+
+def top_level_imports(source):
+    """Dotted names of the modules and names imported by the top-level
+    statements of ``source``."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names |= {node.module, *(f"{node.module}.{alias.name}"
+                                     for alias in node.names)}
+    return names
+
+
+def test_no_module_level_scipy_io_import():
+    """A process that touches no .mtx file does not load scipy.io."""
+    eager = [p.name for p in PACKAGE.glob("*.py")
+             if any(name == "scipy.io" or name.startswith("scipy.io.")
+                    for name in top_level_imports(p.read_text()))]
+    assert eager == []
+    assert top_level_imports("from scipy import io\nimport numpy.linalg\n"
+                             "def f():\n    import os\n") == {
+        "scipy", "scipy.io", "numpy.linalg"}
 
 
 def references(tree):

@@ -19,7 +19,7 @@ from saddlekit.spectral import (BoundReport, InapplicableBound, analyze,
                                 check_pess_nonreal, check_real_interval,
                                 check_unit_disk, condition_number,
                                 lpess_bound_values, lpess_bounds,
-                                mu_transform, pess_nonreal_bounds,
+                                pess_nonreal_bounds,
                                 pess_real_interval, preconditioned_spectrum,
                                 ScalarExtremes, scalar_extremes,
                                 shift_spectrum, write_eigenvalue_csv)
@@ -67,7 +67,8 @@ def test_analyze_maps_the_shift_spectrum_forward(small_system, cfg,
     """``analyze`` returns lambda = 1/(s + nu) over nu = eig(A^{-1} Sigma),
     behind n entries of exactly 1/s when L1 is dropped: the same set as
     eig(P^{-1} A) either way round, and with L1 kept the non-real check
-    reads every lambda with its own mu = 1/nu."""
+    reads every lambda with its own mu = 1/nu.  rss's s = 1/2 puts its n
+    entries 1/s = 2 on the unit circle, the unit disk's only violations."""
     seen = {}
     check = spectral._nonreal_disjunction
 
@@ -91,7 +92,12 @@ def test_analyze_maps_the_shift_spectrum_forward(small_system, cfg,
         assert nonreal.any()
         assert np.array_equal(seen["nonreal"], spec[nonreal])
         np.testing.assert_allclose(seen["mu"], 1.0 / nu[nonreal], rtol=1e-12)
-    assert all(r.holds for r in reports)
+    disk, *rest = reports
+    assert all(r.holds for r in rest)
+    on_circle = cfg.s == 0.5 and not cfg.is_pess
+    assert disk.holds != on_circle
+    assert [v for v, _ in disk.violations] == (
+        [2.0] * small_system.n if on_circle else [])
 
 
 def test_unpreconditioned_spectrum(small_system):
@@ -227,7 +233,7 @@ def test_scalar_extremes_oracle(small_system):
     assert ex.eta_min == pytest.approx(eta[0], rel=1e-9, abs=1e-12)
     assert ex.eta_max == pytest.approx(eta[-1], rel=1e-9)
     theta = np.linalg.eigvalsh(C.T @ C / 0.5) / 3.0
-    assert ex.theta_max == pytest.approx(theta[-1], rel=1e-9)
+    assert ex.theta_tilde_max == pytest.approx(theta[-1], rel=1e-9)
     vth = np.linalg.eigvalsh(B @ np.linalg.solve(A, B.T)) / 3.0
     assert ex.vartheta_min == pytest.approx(vth[0], rel=1e-9)
     assert ex.vartheta_max == pytest.approx(vth[-1], rel=1e-9)
@@ -265,7 +271,7 @@ def test_scalar_extremes_oracle_matrix_shifts(small_system, kind):
     else:
         assert ex.xi_max is None and ex.eta_min is None
     theta = pencil(C.T @ np.linalg.solve(lam3, C), I_m)
-    assert ex.theta_max == pytest.approx(theta[-1], rel=1e-9)
+    assert ex.theta_tilde_max == pytest.approx(theta[-1], rel=1e-9)
     vth = pencil(B @ np.linalg.solve(A, B.T), I_m)
     assert (ex.vartheta_min, ex.vartheta_max) == pytest.approx(
         (vth[0], vth[-1]), rel=1e-9)
@@ -302,14 +308,29 @@ def test_scalar_extremes_rejects_bad_dense_shifts(small_system):
 # -- bound formulas --------------------------------------------------------
 
 
-def test_mu_transform_inverse():
-    lam = np.array([0.3 + 0.2j, 0.1 - 0.4j])
-    s = 2.0
-    mu = mu_transform(lam, s)
-    # inverse map: lambda = mu / (1 + s mu)
-    assert np.allclose(mu / (1 + s * mu), lam)
-    with pytest.raises(ValueError):
-        mu_transform(np.array([1.0 / s]), s)
+def test_mu_transform_inverse(small_system, monkeypatch):
+    """check_pess_nonreal reads mu = lambda / (1 - s lambda), the inverse
+    of lambda = mu / (1 + s mu): on P^{-1} A's spectrum it agrees with the
+    mu = 1/nu that ``analyze`` passes, and a non-real lambda within
+    ``MU_GUARD`` of the pole 1/s is a ValueError (possible only for s below
+    1e-4: a non-real lambda has |Im lambda| > 1e-8)."""
+    cfg = pess_cfg(2.0)
+    seen = []
+    check = spectral._nonreal_disjunction
+
+    def spy(nonreal, mu, b, s):
+        seen.append((nonreal, mu))
+        return check(nonreal, mu, b, s)
+
+    monkeypatch.setattr(spectral, "_nonreal_disjunction", spy)
+    spec, ex, _ = analyze(small_system, cfg)
+    check_pess_nonreal(spec, ex, cfg.s)
+    (lam, mu_nu), (same, mu) = seen
+    assert lam.size and np.array_equal(same, lam)
+    np.testing.assert_allclose(mu, mu_nu, rtol=1e-10)
+    np.testing.assert_allclose(mu / (1 + cfg.s * mu), lam, rtol=1e-12)
+    with pytest.raises(ValueError, match="^eigenvalue too close to 1/s"):
+        check_pess_nonreal(np.array([1e5 + 2e-8j]), ex, 1e-5)
 
 
 def test_lpess_bound_values_formulas():
@@ -375,7 +396,7 @@ def example6():
 @pytest.mark.parametrize("case", ["I", "II"])
 @pytest.mark.parametrize("kind,s", [
     *((k, s) for k in ("pess", "lpess") for s in (0.3, 1.0, 13.0)),
-    ("ss", None), ("egss", None), ("rpgss", None)])
+    ("ss", None), ("rss", None), ("egss", None), ("rpgss", None)])
 def test_unit_disk_holds_exactly_above_s_critical(kind, s, case, example6):
     # 1/(s + nu) lies in the unit disk around 1 iff s > 1/2 - min Re nu; a
     # dropped L1 adds nu = 0, so its threshold is at least 1/2.  The

@@ -8,7 +8,7 @@ import importlib
 import numpy as np
 import pytest
 
-from saddlekit import precond, system
+from saddlekit import dense, precond
 from saddlekit.gmres import PHASES, Diverged, stationary
 from saddlekit.precond import build, make_config, sigma_matrix
 from saddlekit.problems import case_preset, example1
@@ -100,8 +100,7 @@ def test_process_never_factors(built, monkeypatch):
         raise AssertionError("the process factored")
 
     monkeypatch.setattr(precond, "build", refuse)
-    for module in (precond, system):
-        monkeypatch.setattr(module, "splu", refuse)
+    monkeypatch.setattr(dense, "splu", refuse)
     assert stationary(sysv, rhs_for_ones(sysv), P, tol=1e-8).converged
 
 
