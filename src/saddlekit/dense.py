@@ -55,10 +55,11 @@ def require_spd(M, what):
     return lu
 
 
-def sparse_lu(M, what):
-    """SuperLU factor of the sparse M, or ``Singular`` naming ``what``."""
+def sparse_lu(M, what, permc_spec="COLAMD"):
+    """SuperLU factor of the sparse M, or ``Singular`` naming ``what``.  The
+    caller chooses the column ordering; the default is scipy's own."""
     try:
-        return splu(M)
+        return splu(M, permc_spec=permc_spec)
     except RuntimeError as exc:
         raise Singular(f"{what} is singular: {exc}") from exc
 

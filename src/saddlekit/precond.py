@@ -178,35 +178,39 @@ def build(sys: SaddlePointSystem, cfg: GssConfig) -> GssPreconditioner:
 # -- exact block diagonal baseline -------------------------------------
 
 
-# Columns per solve.  Medians of 5 runs, ms, widths 8/16/32/64 (2-core host,
-# 1 BLAS thread): schur(B, A^{-1}) 58.7/67.7/68.4/68.9 at l=32, 324/376/362/386
-# at l=48; pess-II's P^{-1} A columns 60.3/54.6/51.7/50.3 at l=16, 1363/1281/
-# 1280/1249 at l=32.  The P^{-1} A callers (spectra) prefer 64; a width per
-# caller would be a knob for about 10 ms of compare-l32's setup.
+# Columns per solve, one width per caller.  Median ms of 5 runs and traced
+# transient MB beyond the result, widths 8/16/32/64 (2-core host, 1 BLAS
+# thread): schur(B, A^{-1}) 55.6/64.7/62.1/65.3 ms and 0.53/1.06/2.10/4.20 MB
+# at l=32, 329/356/364/384 ms and 1.18/2.36/4.72/9.44 MB at l=48; pess-II's
+# P^{-1} A columns (3 runs) 105/60.1/51.2/49.9 ms and 0.27/0.47/0.86/1.65 MB
+# at l=16, 350/337/314/308 ms and 0.61/1.05/1.93/3.70 MB at l=24.  Each
+# caller takes its fastest width; schur's is also its smallest.
+SCHUR_COLUMNS = 8
 BLOCK_COLUMNS = 64
 
 
-def solve_columns(solve, X) -> np.ndarray:
-    """solve(R) for R = each block of ``BLOCK_COLUMNS`` columns of the sparse
-    X, densified one block at a time and written into one Fortran-order
-    array with X's column count; ``solve`` maps a dense block to a dense
-    block of fixed row count."""
+def solve_columns(solve, X, width) -> np.ndarray:
+    """solve(R) for R = each block of ``width`` columns of the sparse X,
+    densified one block at a time and written into one Fortran-order array
+    with X's column count; ``solve`` maps a dense block to a dense block of
+    fixed row count."""
     X = X.tocsc()
     out = None
-    for j in range(0, X.shape[1], BLOCK_COLUMNS):
-        W = solve(X[:, j:j + BLOCK_COLUMNS].toarray(order="F"))
+    for j in range(0, X.shape[1], width):
+        W = solve(X[:, j:j + width].toarray(order="F"))
         if out is None:
             out = np.empty((W.shape[0], X.shape[1]), order="F")
-        out[:, j:j + BLOCK_COLUMNS] = W
+        out[:, j:j + width] = W
     return out
 
 
 def schur(X, solve) -> np.ndarray:
     """X T^{-1} X^T for a sparse X and ``solve``(R) = T^{-1} R, dense and
     Fortran-ordered: ``solve_columns`` forms X T^{-1} R for each block R of
-    the columns of X^T, so T^{-1} X^T is never held whole.  Symmetric to
-    rounding only: its readers, potrf and ``eigh``, read the lower triangle."""
-    return solve_columns(lambda R: X @ solve(R), X.T)
+    ``SCHUR_COLUMNS`` columns of X^T, so T^{-1} X^T is never held whole.
+    Symmetric to rounding only: its readers, potrf and ``eigh``, read the
+    lower triangle."""
+    return solve_columns(lambda R: X @ solve(R), X.T, SCHUR_COLUMNS)
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,8 @@ import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from .dense import ConvergenceFailure, norm2, require_spd
-from .precond import (GssConfig, operand_sparse, schur, sigma_matrix,
-                      solve_columns)
+from .precond import (BLOCK_COLUMNS, GssConfig, operand_sparse, schur,
+                      sigma_matrix, solve_columns)
 from .system import SaddlePointSystem, require_densifiable
 
 THETA_TILDE_CONVENTION = "lambda3_inv_C_lambda2_inv_Ct"
@@ -70,7 +70,7 @@ def _solved_eigvals(sys: SaddlePointSystem, order: int, solve, columns):
     which it overwrites, refused above the densification guard before either
     is called; a LAPACK failure becomes ``ConvergenceFailure``."""
     require_densifiable(sys, order)
-    M = solve_columns(solve, columns())
+    M = solve_columns(solve, columns(), BLOCK_COLUMNS)
     try:
         return sla.eigvals(M, overwrite_a=True)
     except sla.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails

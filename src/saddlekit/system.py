@@ -78,8 +78,13 @@ class SaddlePointSystem:
 
     @cached_property
     def matrix_lu(self):
-        """Sparse LU of the coefficient matrix; ``Singular`` if singular."""
-        return sparse_lu(self.matrix.tocsc(), "coefficient matrix")
+        """Sparse LU of the coefficient matrix; ``Singular`` if singular.
+        With C square a minimum-degree order on Amat + Amat^T stores 2-4x
+        fewer entries than scipy's COLAMD (128,811 against 347,988 for
+        ``example1(32)``); with p < m it can store several times more (6.4x
+        with every other row of that C), so COLAMD stays."""
+        order = "MMD_AT_PLUS_A" if self.p == self.m else "COLAMD"
+        return sparse_lu(self.matrix.tocsc(), "coefficient matrix", order)
 
 
 def _canonical(M) -> sp.csr_matrix:

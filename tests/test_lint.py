@@ -1,7 +1,7 @@
 """Static checks on the package source: every imported name is used,
 every module-level definition is referenced somewhere, scipy.io is loaded
-only by the Matrix Market functions, and every name the README gives as
-`module.name` exists."""
+only by the Matrix Market functions, SuperLU's ``splu`` is called only in
+``dense``, and every name the README gives as `module.name` exists."""
 
 import ast
 import dataclasses
@@ -72,6 +72,34 @@ def test_no_module_level_scipy_io_import():
     assert top_level_imports("from scipy import io\nimport numpy.linalg\n"
                              "def f():\n    import os\n") == {
         "scipy", "scipy.io", "numpy.linalg"}
+
+
+def splu_calls(source):
+    """Line numbers of the calls to ``splu`` in ``source``, by bare name or
+    as an attribute."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(
+                func, "attr", None)
+            if name == "splu":
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_splu_is_called_only_in_dense():
+    """Every SuperLU ordering and failure mapping lives in one module."""
+    calls = {p.name: splu_calls(p.read_text()) for p in MODULES}
+    assert calls.pop("dense.py") and not any(calls.values())
+
+
+def test_splu_call_detected():
+    src = ("import scipy.sparse.linalg as spla\n"
+           "from scipy.sparse.linalg import splu\n"
+           "lu = spla.splu(M)\nsplu(M, permc_spec='NATURAL')\n"
+           "spla.spsolve(M, b)\n")
+    assert splu_calls(src) == [3, 4]
 
 
 def references(tree):
