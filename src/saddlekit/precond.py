@@ -11,8 +11,8 @@ coefficient matrix Amat and a scalar s > 0.  The named variants are
 parameter choices of this form; global scalar prefactors are folded into
 the shifts, which leaves right-preconditioned GMRES iterates unchanged.
 
-P is sparse for every variant: ``build`` assembles it once and takes one
-sparse LU of P; each apply is two sparse triangular solves.
+P is sparse for every variant: ``build`` factors it once and keeps only
+its sparse LU; each apply is two sparse triangular solves.
 """
 
 from __future__ import annotations
@@ -34,17 +34,17 @@ from .system import SaddlePointSystem
 # A shift may be given as None (absent), a positive scalar (multiple of the
 # identity), a 1-d array (diagonal), any scipy sparse matrix, or a dense
 # 2-d array.  GssConfig stores it as None, a float c meaning c*I, or a CSC
-# matrix (a diagonal as sp.diags).
+# matrix of its own (a diagonal as sp.diags).
 
 
 def stored_shift(op, name):
-    """The stored form of a shift operand: None, a float or a CSC matrix.
-    Rejects non-finite entries in every form and a non-positive scalar or
-    diagonal, naming the shift."""
+    """The stored form of a shift operand: None, a float or a CSC matrix
+    that shares no array with ``op``.  Rejects non-finite entries in every
+    form and a non-positive scalar or diagonal, naming the shift."""
     if op is None:
         return None
     if sp.issparse(op) or np.ndim(op) == 2:
-        op = sp.csc_matrix(op, dtype=np.float64)
+        op = sp.csc_matrix(op, dtype=np.float64, copy=True)
         if not np.all(np.isfinite(op.data)):
             raise ValueError(f"{name} has non-finite entries")
         return op
@@ -150,8 +150,8 @@ def sigma_matrix(sys: SaddlePointSystem, cfg: GssConfig) -> sp.csc_matrix:
 
 @dataclass(frozen=True)
 class GssPreconditioner:
-    matrix: sp.csc_matrix
-    lu: object  # scipy.sparse.linalg.SuperLU of ``matrix``
+    cfg: GssConfig
+    lu: object  # scipy.sparse.linalg.SuperLU of ``gss_matrix(sys, cfg)``
     build_seconds: float  # wall time of ``build``
 
     def apply(self, r):
@@ -167,12 +167,11 @@ class GssPreconditioner:
 
 
 def build(sys: SaddlePointSystem, cfg: GssConfig) -> GssPreconditioner:
-    """Assemble the shift-splitting preconditioner and factor it once."""
+    """Factor the shift-splitting P once and keep only its sparse LU."""
     t0 = perf_counter()
     require_spd(operand_sparse(cfg.lambda3, sys.p), "lambda3")
-    P = gss_matrix(sys, cfg)
-    return GssPreconditioner(matrix=P, lu=sparse_lu(P, "preconditioner"),
-                             build_seconds=perf_counter() - t0)
+    lu = sparse_lu(gss_matrix(sys, cfg), "preconditioner")
+    return GssPreconditioner(cfg, lu, perf_counter() - t0)
 
 
 # -- exact block diagonal baseline -------------------------------------

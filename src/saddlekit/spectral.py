@@ -28,8 +28,8 @@ import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from .dense import ConvergenceFailure, norm2, require_spd
-from .precond import (BLOCK_COLUMNS, GssConfig, operand_sparse, schur,
-                      sigma_matrix, solve_columns)
+from .precond import (BLOCK_COLUMNS, GssConfig, gss_matrix, operand_sparse,
+                      schur, sigma_matrix, solve_columns)
 from .system import SaddlePointSystem, require_densifiable
 
 THETA_TILDE_CONVENTION = "lambda3_inv_C_lambda2_inv_Ct"
@@ -329,8 +329,8 @@ def condition_number(sys: SaddlePointSystem, precond=None) -> float:
     """Two-norm condition number sigma_max(M) sigma_max(M^{-1}) of
     M = P^{-1} A for the shift-splitting P of ``build``, or of A itself
     without ``precond``.  Both singular values come from ARPACK on sparse
-    operators around the system's ``matrix_lu`` and P's own ``lu`` and
-    ``matrix``, so nothing is densified and no size limit applies."""
+    operators around the system's ``matrix_lu``, P's ``lu`` and P itself,
+    from ``gss_matrix`` once per call: nothing is densified, no size limit."""
     A, P, lu = sys.matrix, precond, sys.matrix_lu
 
     def op(fwd, adj):  # x -> M x and x -> M^T x
@@ -339,8 +339,9 @@ def condition_number(sys: SaddlePointSystem, precond=None) -> float:
     if P is None:
         return norm2(A) * norm2(op(lu.solve, lambda x: lu.solve(x, trans="T")))
     M = op(lambda x: P(A @ x), lambda x: A.T @ P.lu.solve(x, trans="T"))
-    M_inv = op(lambda x: lu.solve(P.matrix @ x),
-               lambda x: P.matrix.T @ lu.solve(x, trans="T"))
+    Pmat = gss_matrix(sys, P.cfg)
+    M_inv = op(lambda x: lu.solve(Pmat @ x),
+               lambda x: Pmat.T @ lu.solve(x, trans="T"))
     return norm2(M) * norm2(M_inv)
 
 

@@ -13,6 +13,7 @@ import scipy.sparse.linalg as spla
 import saddlekit
 from saddlekit import dense, precond, spectral, system
 from saddlekit.dense import require_spd
+from saddlekit.precond import make_config
 from saddlekit.system import assemble
 
 
@@ -24,6 +25,19 @@ def random_system(rng, n=12, m=8, p=5, spd_shift=0.5):
     B = rng.standard_normal((m, n))
     C = rng.standard_normal((p, m))
     return assemble(sp.csr_matrix(A), sp.csr_matrix(B), sp.csr_matrix(C))
+
+
+def all_kind_configs(sys):
+    """One representative config per variant for the given system."""
+    return {
+        "pess": make_config("pess", lambda1=1.0, lambda2=1.0, lambda3=0.001,
+                            s=2.0),
+        "lpess": make_config("lpess", lambda2=1.0, lambda3=0.001, s=2.0),
+        "ss": make_config("ss", alpha=0.1),
+        "rss": make_config("rss", alpha=0.1),
+        "egss": make_config("egss", alpha=0.1, beta=1.0, gamma=0.001),
+        "rpgss": make_config("rpgss", beta=1.0, gamma=0.001),
+    }
 
 
 def bd_blocks(sysv):

@@ -16,15 +16,15 @@ import pytest
 
 from saddlekit.gmres import Diverged, gmres, stationary
 from saddlekit.params import estimate_params, phi, phi_minimizer
-from saddlekit.precond import (KINDS, build, build_bd, make_config,
-                               splitting_residual)
+from saddlekit.precond import (KINDS, build, build_bd, gss_matrix,
+                               make_config, splitting_residual)
 from saddlekit.problems import NoiseSpec, case_preset, example1, perturb
 from saddlekit.spectral import (analyze, condition_number,
                                 convergence_predicate,
                                 preconditioned_spectrum)
 from saddlekit.system import rhs_for_ones
 
-from conftest import iteration_matrix_radius, random_system
+from conftest import all_kind_configs, iteration_matrix_radius, random_system
 
 MONITORED_RUNS = []  # every gmres run issued by this suite
 
@@ -284,18 +284,11 @@ def test_criterion6_algorithm1_oracle():
     for idx, (n, m, p) in enumerate(sizes):
         rng = np.random.default_rng(2000 + idx)
         sysv = random_system(rng, n=n, m=m, p=p)
-        for kind in KINDS:
-            cfg = {
-                "pess": dict(lambda1=1.0, lambda2=1.0, lambda3=0.001, s=2.0),
-                "lpess": dict(lambda2=1.0, lambda3=0.001, s=2.0),
-                "ss": dict(alpha=0.1), "rss": dict(alpha=0.1),
-                "egss": dict(alpha=0.1, beta=1.0, gamma=0.001),
-                "rpgss": dict(beta=1.0, gamma=0.001),
-            }[kind]
-            P = build(sysv, make_config(kind, **cfg))
+        for kind, cfg in all_kind_configs(sysv).items():
+            P = build(sysv, cfg)
             R = rng.standard_normal((sysv.size, 50))
             W = P.apply(R)
-            ref = np.linalg.solve(P.matrix.toarray(), R)
+            ref = np.linalg.solve(gss_matrix(sysv, cfg).toarray(), R)
             rel = np.linalg.norm(W - ref) / np.linalg.norm(ref)
             if rel >= 1e-10:
                 failures.append(f"size {n+m+p} {kind}: relative error {rel:.2e}")

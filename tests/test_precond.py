@@ -8,29 +8,18 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from saddlekit import precond
 from saddlekit.dense import NotPositiveDefinite, Singular, require_spd
 from saddlekit.gmres import gmres, true_residual
 from saddlekit.precond import (KINDS, GssConfig, build, build_bd,
-                               make_config, schur, splitting_residual)
+                               gss_matrix, make_config, schur,
+                               splitting_residual)
 from saddlekit.problems import case_operands, case_preset, example1
 from saddlekit.system import rhs_for_ones
 
-from conftest import bd_blocks, random_system
-
-
-def all_kind_configs(sys):
-    """One representative config per variant for the given system."""
-    return {
-        "pess": make_config("pess", lambda1=1.0, lambda2=1.0, lambda3=0.001,
-                            s=2.0),
-        "lpess": make_config("lpess", lambda2=1.0, lambda3=0.001, s=2.0),
-        "ss": make_config("ss", alpha=0.1),
-        "rss": make_config("rss", alpha=0.1),
-        "egss": make_config("egss", alpha=0.1, beta=1.0, gamma=0.001),
-        "rpgss": make_config("rpgss", beta=1.0, gamma=0.001),
-    }
+from conftest import all_kind_configs, bd_blocks, random_system
 
 
 # -- configuration -------------------------------------------------------
@@ -82,6 +71,16 @@ def test_make_config_positivity_checks():
         make_config("rpgss", beta=1.0, gamma=0.0)
 
 
+def test_config_owns_its_matrix_shifts():
+    """A frozen config shares no array with the 2-d shift it was given:
+    editing that matrix afterwards leaves the config as it was made."""
+    for M in (sp.identity(4, format="csc"), sp.identity(4, format="csr"),
+              np.eye(4)):
+        cfg = make_config("pess", lambda1=M, lambda2=1.0, lambda3=1e-3, s=2.0)
+        (M.data if sp.issparse(M) else M)[...] = -7.0
+        assert np.array_equal(cfg.lambda1.toarray(), np.eye(4))
+
+
 def test_make_config_half_shift_folding():
     cfg = make_config("ss", alpha=0.2)
     assert cfg.lambda1 == cfg.lambda2 == cfg.lambda3 == pytest.approx(0.1)
@@ -99,7 +98,7 @@ def test_make_config_half_shift_folding():
 def test_apply_matches_dense_oracle(kind, small_system, rng):
     cfg = all_kind_configs(small_system)[kind]
     P = build(small_system, cfg)
-    M = P.matrix.toarray()
+    M = gss_matrix(small_system, cfg).toarray()
     for _ in range(50):
         r = rng.standard_normal(small_system.size)
         w = P.apply(r)
@@ -111,7 +110,7 @@ def test_apply_block_vector_and_multicolumn(small_system, rng):
     cfg = all_kind_configs(small_system)["lpess"]
     P = build(small_system, cfg)
     d = rhs_for_ones(small_system).to_array()
-    assert np.allclose(P.matrix @ P.apply(d), d)
+    assert np.allclose(gss_matrix(small_system, cfg) @ P.apply(d), d)
     R = rng.standard_normal((small_system.size, 3))
     W = P.apply(R)
     assert np.allclose(W[:, 1], P.apply(R[:, 1]))
@@ -153,7 +152,7 @@ def test_case_presets_converge_at_l64():
     *(pytest.param(k, "II", id=k) for k in KINDS),
     *(pytest.param(k, "I", id=f"{k}-I") for k in KINDS)])
 def test_case_ii_matrix_matches_block_oracle(kind, case):
-    """P.matrix equals its explicit blocks bit for bit: each half-shift
+    """gss_matrix equals P's explicit blocks bit for bit: each half-shift
     kind folds s * coefficient * operand, and ss/rss read no operands."""
     sysv = example1(3)
     s, alpha, beta, gamma = 12.0, 0.1, 1.0, 0.001
@@ -181,7 +180,7 @@ def test_case_ii_matrix_matches_block_oracle(kind, case):
                      [-s * B, L2, -s * C.T],
                      [np.zeros((p, n)), s * C, L3]])
     assert cfg.s == s
-    assert np.array_equal(build(sysv, cfg).matrix.toarray(), want)
+    assert np.array_equal(gss_matrix(sysv, cfg).toarray(), want)
 
 
 # -- splitting identity ----------------------------------------------------
@@ -275,6 +274,23 @@ def test_build_bd_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * 8 * sysv.m ** 2
+
+
+def test_build_keeps_no_copy_of_p():
+    """A built shift-splitting P holds its SuperLU factor (outside the
+    traced heap) and its config, not the CSC P it factored: under 16 KB of
+    traced memory stays alive after the build at l=16, where a kept P
+    held about 117 KB."""
+    sysv = example1(16)
+    cfg = case_preset("II", sysv, s=12.0)
+    sysv.matrix  # the system's own cached matrix is not the build's
+    tracemalloc.start()
+    try:
+        P = build(sysv, cfg)
+        alive = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert P.cfg is cfg and alive < 16 * 1024
 
 
 def test_build_seconds_recorded(small_system):

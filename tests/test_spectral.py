@@ -13,7 +13,8 @@ import scipy.sparse.linalg as spla
 
 from saddlekit import spectral, system
 from saddlekit.dense import ConvergenceFailure, NotPositiveDefinite, Singular
-from saddlekit.precond import build, build_bd, make_config
+from saddlekit.precond import (KINDS, build, build_bd, gss_matrix,
+                               make_config)
 from saddlekit.problems import case_operands, case_preset, example1
 from saddlekit.spectral import (BoundReport, InapplicableBound, analyze,
                                 check_pess_nonreal, check_real_interval,
@@ -26,7 +27,8 @@ from saddlekit.spectral import (BoundReport, InapplicableBound, analyze,
 from saddlekit.mmio import write_json
 from saddlekit.system import assemble
 
-from conftest import arpack_fails, bd_blocks, count_factors, random_system
+from conftest import (all_kind_configs, arpack_fails, bd_blocks,
+                      count_factors, random_system)
 
 
 def pess_cfg(s, lam3=0.001):
@@ -51,8 +53,8 @@ def test_spectrum_matches_dense_oracle(small_system):
     cfg = pess_cfg(2.0)
     P = build(small_system, cfg)
     spec = preconditioned_spectrum(small_system, P)
-    ref = np.linalg.eigvals(np.linalg.solve(P.matrix.toarray(),
-                                            small_system.matrix.toarray()))
+    Pd = gss_matrix(small_system, cfg).toarray()
+    ref = np.linalg.eigvals(np.linalg.solve(Pd, small_system.matrix.toarray()))
     assert np.allclose(np.sort_complex(spec),
                        np.sort_complex(ref), atol=1e-8)
 
@@ -128,8 +130,8 @@ def test_blocked_spectrum_matches_dense_oracle(kind):
         P = build_bd(sysv)
         Pd = sla.block_diag(*bd_blocks(sysv))
     else:
-        P = build(sysv, case_preset("II", sysv, s=12.0))
-        Pd = P.matrix.toarray()
+        cfg = case_preset("II", sysv, s=12.0)
+        P, Pd = build(sysv, cfg), gss_matrix(sysv, cfg).toarray()
     widths = []
     if kind == "callable":
         def P(R):
@@ -492,12 +494,15 @@ def test_lpess_cluster_too_small(lpess_case, small_system):
 # -- condition number --------------------------------------------------------
 
 
-def test_condition_number_oracle(small_system):
+@pytest.mark.parametrize("kind", KINDS)
+def test_condition_number_oracle(kind, small_system):
+    """kappa(P^-1 A) for every kind, those that drop L1 included."""
     M = small_system.matrix.toarray()
     assert condition_number(small_system) == pytest.approx(
         np.linalg.cond(M, 2), rel=1e-10)
-    P = build(small_system, pess_cfg(2.0))
-    PM = np.linalg.solve(P.matrix.toarray(), M)
+    cfg = all_kind_configs(small_system)[kind]
+    P = build(small_system, cfg)
+    PM = np.linalg.solve(gss_matrix(small_system, cfg).toarray(), M)
     assert condition_number(small_system, P) == pytest.approx(
         np.linalg.cond(PM, 2), rel=1e-10)
     # preconditioning improves conditioning here
